@@ -133,7 +133,10 @@ def characterize(
 
     if run_vmin and cluster.name in FAILURE_PRESETS:
         tester = VminTester(
-            cluster, FAILURE_PRESETS[cluster.name], seed=seed
+            cluster,
+            FAILURE_PRESETS[cluster.name],
+            seed=seed,
+            session=characterizer.session,
         )
         workloads: List[Workload] = []
         spec_names = {p.name for p in SPEC_PROFILES}

@@ -15,8 +15,10 @@ array -- raised as :class:`~repro.audit.errors.CacheShadowMismatch`.
 
 **RNG draw ledger.**  The batch-equivalence contract pins which chain
 stage may drain which RNG stream: ``execute`` the per-item
-``memory_rng`` generators, ``receive`` the analyzer RNG, every other
-stage nothing (each stage declares this as its ``drains`` attribute).
+``memory_rng`` generators, ``current`` the per-item
+``timing_jitter_rng`` generators, ``receive`` the analyzer RNG, every
+other stage nothing (each stage declares this as its ``drains``
+attribute).
 The ledger snapshots each stream's ``bit_generator.state`` around
 every stage; a stream advancing in a stage not entitled to it is a
 violation, and for the receive stage the ledger *replays* the expected
@@ -219,9 +221,9 @@ class ChainLedger:
 
     Streams are collected from the signal path (the analyzer RNG of
     any stage exposing ``.analyzer``) and the request (each distinct
-    per-item ``memory_rng``).  ``after_stage`` is called by
-    :meth:`repro.chain.SignalPath.run` with the stage's declared
-    ``drains`` tuple.
+    per-item ``memory_rng`` and ``timing_jitter_rng``).
+    ``after_stage`` is called by :meth:`repro.chain.SignalPath.run`
+    with the stage's declared ``drains`` tuple.
     """
 
     def __init__(
@@ -245,11 +247,14 @@ class ChainLedger:
         if analyzer_rng is not None:
             streams.append(("analyzer", analyzer_rng))
         for item in request.items:
-            rng = getattr(item, "memory_rng", None)
-            if rng is not None and not any(
-                existing is rng for _, existing in streams
+            for name, rng in (
+                ("memory", item.memory_rng),
+                ("jitter", item.timing_jitter_rng),
             ):
-                streams.append(("memory", rng))
+                if rng is not None and not any(
+                    existing is rng for _, existing in streams
+                ):
+                    streams.append((name, rng))
         self._streams = streams
         self._before = [self._state(rng) for _, rng in streams]
 

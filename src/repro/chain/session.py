@@ -249,8 +249,8 @@ class SimulationSession:
             current_model=cluster.spec.current_model,
             clock_hz=clock_hz,
         )
-        if phase_offsets is not None:
-            # Phase studies are rare and offset-specific; don't cache.
+
+        def compute() -> "ClusterExecution":
             return execute_on_cluster(
                 core,
                 program,
@@ -259,18 +259,16 @@ class SimulationSession:
                 uncore_current_a=cluster.spec.uncore_current_a,
                 iterations=iterations,
             )
+
+        if phase_offsets is not None:
+            # Phase studies are rare and offset-specific; don't cache.
+            return compute()
         key = (cluster.uid, program.genome(), active_cores, iterations)
         cached = self._executions.get(key)
         hit = cached is not None
         if cached is None:
             self.stats.execute_misses += 1
-            cached = execute_on_cluster(
-                core,
-                program,
-                active_cores=active_cores,
-                uncore_current_a=cluster.spec.uncore_current_a,
-                iterations=iterations,
-            )
+            cached = compute()
             self._bounded_put(
                 self._executions, key, cached, self._max_executions
             )
@@ -281,18 +279,7 @@ class SimulationSession:
         if hit and self.audit is not None:
             # Compare post-restamp so both sides carry this call's
             # clock (the cache stores the first-seen clock by design).
-            self.audit.check_hit(
-                "executions",
-                key,
-                cached,
-                lambda: execute_on_cluster(
-                    core,
-                    program,
-                    active_cores=active_cores,
-                    uncore_current_a=cluster.spec.uncore_current_a,
-                    iterations=iterations,
-                ),
-            )
+            self.audit.check_hit("executions", key, cached, compute)
         return cached
 
     # ------------------------------------------------------------------

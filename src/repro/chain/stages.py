@@ -5,11 +5,13 @@ Each stage transforms every item of a batch in request order:
     execute -> current -> pdn-steady-state -> radiate -> propagate -> receive
 
 The numeric code paths are the exact ones the legacy per-call helpers
-(``Cluster.run``, ``SpectrumAnalyzer.max_amplitude`` / ``sweep``) use,
-in the same floating-point operation order, so batched results are
-bit-identical to the per-call path.  RNG discipline: the execute stage
-draws only from per-item ``memory_rng`` generators, the receive stage
-only from the analyzer RNG, and both consume items in request order --
+(``SpectrumAnalyzer.max_amplitude`` / ``sweep``) use, in the same
+floating-point operation order, so batched results are bit-identical
+to the per-call path; ``Cluster.run`` is itself a one-item run of the
+execute, current and pdn stages.  RNG discipline: the execute stage
+draws only from per-item ``memory_rng`` generators, the current stage
+only from per-item ``timing_jitter_rng`` generators, the receive stage
+only from the analyzer RNG, and all consume items in request order --
 so per-stream draw sequences match a sequential legacy loop even though
 the stages are batched.
 """
@@ -52,6 +54,7 @@ class Stage(Protocol):
 
     ``drains`` declares which RNG stream families the stage is entitled
     to advance (``"memory"`` for per-item ``memory_rng`` generators,
+    ``"jitter"`` for per-item ``timing_jitter_rng`` generators,
     ``"analyzer"`` for the analyzer RNG); the determinism audit's draw
     ledger enforces it at every stage boundary.
     """
@@ -195,23 +198,56 @@ class ExecuteStage:
 
 
 class CurrentStage:
-    """Operating-point scaling of the raw per-cycle current trace."""
+    """Operating-point scaling of the raw per-cycle current trace, then
+    the timing jitter of real workloads: random phase-shifted tiles
+    destroy the coherent build-up a periodic loop gets at resonance."""
 
     name = "current"
-    drains = ()
+    drains = ("jitter",)
 
     def run(self, batch: ChainBatch) -> None:
         cluster = batch.cluster
         for w in batch.work:
+            item = w.result.item
             scale = cluster.current_scale(
                 clock_hz=w.result.clock_hz, voltage=w.result.voltage
             )
             trace = w.raw_current * scale
-            if w.result.item.mode == "single" and trace.size < 4:
+            if item.mode == "single" and trace.size < 4:
                 # Degenerate loops (period of 1-3 cycles) are still
                 # periodic; tile them so the spectral solver has a
                 # valid grid.
                 trace = np.tile(trace, int(np.ceil(4 / trace.size)))
+            if item.timing_jitter_rng is not None:
+                # Data-dependent issue jitter low-pass filters the
+                # current spectrum of real workloads; deterministic
+                # virus loops keep their sharp edges.
+                width = max(1, item.jitter_smooth_cycles)
+                if width > 1 and trace.size > width:
+                    kernel = np.ones(width) / width
+                    trace = np.convolve(
+                        np.concatenate([trace[-(width - 1):], trace]),
+                        kernel,
+                        mode="valid",
+                    )
+                if item.activity_compression != 1.0:
+                    # Real programs mix hot and cold paths: their
+                    # windowed activity variance is a fraction of a
+                    # worst-case synthetic loop's.  Compress fluctuation
+                    # around the mean; the mean (IR drop) is untouched.
+                    mean = trace.mean()
+                    trace = mean + item.activity_compression * (
+                        trace - mean
+                    )
+                n = trace.size
+                trace = np.concatenate(
+                    [
+                        np.roll(
+                            trace, int(item.timing_jitter_rng.integers(n))
+                        )
+                        for _ in range(max(1, item.jitter_tiles))
+                    ]
+                )
             w.load_current = trace
 
 

@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pdn.steady_state import PeriodicResponse
     from repro.em.radiation import EmissionSpectrum
     from repro.instruments.spectrum_analyzer import SpectrumTrace
-    from repro.platforms.base import Cluster, ClusterRun, NondeterministicRun
+    from repro.platforms.base import Cluster, ClusterRun
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,9 @@ class ChainItem:
     cache-nondeterministic execution mode of
     ``Cluster.run_nondeterministic``; ``programs`` selects the
     heterogeneous-mix mode of ``Cluster.run_mixed``.
+    ``timing_jitter_rng`` and the three fields after it model a real
+    workload's timing variation (see :class:`repro.chain.CurrentStage`);
+    dI/dt viruses are deterministic (Section 3.3) and leave it ``None``.
     """
 
     program: Optional["LoopProgram"] = None
@@ -60,6 +63,10 @@ class ChainItem:
     phase_offsets: Optional[Sequence[int]] = None
     cache_model: object = None
     memory_rng: Optional[np.random.Generator] = None
+    timing_jitter_rng: Optional[np.random.Generator] = None
+    jitter_tiles: int = 16
+    jitter_smooth_cycles: int = 12
+    activity_compression: float = 1.0
 
     @property
     def mode(self) -> str:
@@ -166,27 +173,6 @@ class ChainItemResult:
             clock_hz=self.clock_hz,
             voltage=self.voltage,
             powered_cores=self.powered_cores,
-            active_cores=self.active_cores,
-        )
-
-    def to_nondeterministic_run(
-        self, cluster: "Cluster"
-    ) -> "NondeterministicRun":
-        """Repackage a nondeterministic-mode result as the legacy type."""
-        from repro.platforms.base import NondeterministicRun
-
-        if self.item.mode != "nondeterministic":
-            raise ValueError(
-                f"cannot build a NondeterministicRun from a "
-                f"{self.item.mode} item"
-            )
-        return NondeterministicRun(
-            cluster=cluster,
-            program=self.item.program,
-            windows=self.windows,
-            response=self.response,
-            clock_hz=self.clock_hz,
-            voltage=self.voltage,
             active_cores=self.active_cores,
         )
 

@@ -59,6 +59,12 @@ CHECKPOINT_FILENAME = "checkpoint.json"
 ISLAND_CHECKPOINT_DIRNAME = "island-checkpoints"
 
 
+def _usage_error(message: str) -> int:
+    """Report bad input as one ``error:`` line; the exit status is 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def resolve_cluster(name: str) -> Cluster:
     """Build the named platform's cluster at its nominal state."""
     try:
@@ -253,8 +259,7 @@ def cmd_virus(args) -> int:
                 load_fault_plan(args.fault_plan)
             )
         except (OSError, ValueError) as exc:
-            print(f"error: bad fault plan: {exc}", file=sys.stderr)
-            return 2
+            return _usage_error(f"bad fault plan: {exc}")
         manifest.extra["fault_plan"] = str(args.fault_plan)
     retry_policy = RetryPolicy(
         max_retries=args.max_retries,
@@ -283,12 +288,8 @@ def cmd_virus(args) -> int:
             OSError,
             ValueError,
         ) as exc:
-            print(
-                f"error: cannot resume from {args.resume}: {exc}",
-                file=sys.stderr,
-            )
             log.close()
-            return 2
+            return _usage_error(f"cannot resume from {args.resume}: {exc}")
     if resume is not None:
         manifest.extra["resumed_from"] = str(args.resume)
         manifest.extra["resumed_at_generation"] = resume.generation
@@ -348,6 +349,15 @@ def cmd_vmin(args) -> int:
     from repro.workloads.spec import SPEC_PROFILES, spec_workload
     from repro.workloads.stress import idle_workload
 
+    names = [n.strip() for n in args.workloads.split(",") if n.strip()]
+    for message, failed in (
+        ("--step must be positive", not args.step > 0.0),
+        ("--repeats must be >= 1", args.repeats < 1),
+        ("--virus-repeats must be >= 1", args.virus_repeats < 1),
+        ("--workloads names no workload", not names),
+    ):
+        if failed:
+            return _usage_error(message)
     cluster = resolve_cluster(args.platform)
     tester = VminTester(
         cluster,
@@ -357,22 +367,30 @@ def cmd_vmin(args) -> int:
     )
     workloads = []
     spec_names = {p.name for p in SPEC_PROFILES}
-    for name in args.workloads.split(","):
-        name = name.strip()
-        if not name:
-            continue
+    for name in names:
         if name == "idle":
             workloads.append(idle_workload())
         elif name in spec_names:
             workloads.append(spec_workload(cluster.spec.isa, name))
         else:
-            print(f"error: unknown workload {name!r}", file=sys.stderr)
-            return 2
+            return _usage_error(f"unknown workload {name!r}")
     virus_names = ()
     if args.virus:
-        from repro.io.serialization import load_virus_archive
+        from repro.io.serialization import (
+            SerializationError,
+            load_virus_archive,
+        )
 
-        program, metadata = load_virus_archive(args.virus)
+        try:
+            program, _ = load_virus_archive(args.virus)
+        except (
+            OSError,
+            KeyError,
+            TypeError,
+            ValueError,
+            SerializationError,
+        ) as exc:
+            return _usage_error(f"cannot load --virus {args.virus}: {exc}")
         workloads.append(
             ProgramWorkload("virus", program, jitter_seed=None)
         )

@@ -157,9 +157,6 @@ class SteadyStateSolver:
         self._tf_cache[key] = (z, h_i)
         return z, h_i
 
-    # Backwards-compatible private alias (pre-chain name).
-    _transfer_functions = transfer_functions
-
     @timed_kernel("pdn.steady_state.solve")
     def solve(
         self,

@@ -24,9 +24,10 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import chain
 from repro.cpu.current import CurrentModel
 from repro.cpu.isa import InstructionSet
-from repro.cpu.multicore import ClusterExecution, CoreModel, execute_on_cluster
+from repro.cpu.multicore import ClusterExecution, CoreModel
 from repro.cpu.pipeline import Pipeline
 from repro.cpu.program import LoopProgram
 from repro.pdn.models import PDNModel, PDNParameters
@@ -213,9 +214,6 @@ class Cluster:
             volts / self.spec.nominal_voltage
         )
 
-    def _current_scale(self) -> float:
-        return self.current_scale()
-
     def run(
         self,
         program: LoopProgram,
@@ -226,83 +224,30 @@ class Cluster:
         jitter_tiles: int = 16,
         jitter_smooth_cycles: int = 12,
         activity_compression: float = 1.0,
+        session: Optional[chain.SimulationSession] = None,
     ) -> "ClusterRun":
-        """Execute ``program`` on the cluster and solve the rail response.
-
-        ``timing_jitter_rng`` models data-dependent timing variation of
-        real (non-virus) workloads: the per-iteration current trace is
-        tiled ``jitter_tiles`` times with random phase shifts, which
-        destroys the coherent harmonic build-up a perfectly periodic
-        loop would enjoy at the PDN resonance.  dI/dt viruses are
-        deliberately deterministic (Section 3.3) and must pass ``None``.
-        """
-        active = active_cores if active_cores is not None else (
-            self._powered_cores
-        )
-        if active > self._powered_cores:
-            raise ValueError(
-                f"{self.name}: {active} active cores exceed "
-                f"{self._powered_cores} powered"
-            )
-        core = CoreModel(
-            pipeline=self._pipeline,
-            current_model=self.spec.current_model,
-            clock_hz=self._clock_hz,
-        )
-        execution = execute_on_cluster(
-            core,
-            program,
-            active_cores=active,
-            phase_offsets=phase_offsets,
-            uncore_current_a=self.spec.uncore_current_a,
-            iterations=iterations,
-        )
-        scale = self._current_scale()
-        trace = execution.load_current * scale
-        if trace.size < 4:
-            # Degenerate loops (period of 1-3 cycles) are still periodic;
-            # tile them so the spectral solver has a valid grid.
-            trace = np.tile(trace, int(np.ceil(4 / trace.size)))
-        if timing_jitter_rng is not None:
-            # Data-dependent issue jitter low-pass filters the current
-            # spectrum of real workloads; deterministic virus loops
-            # (timing_jitter_rng=None) keep their sharp edges.
-            w = max(1, jitter_smooth_cycles)
-            if w > 1 and trace.size > w:
-                kernel = np.ones(w) / w
-                trace = np.convolve(
-                    np.concatenate([trace[-(w - 1):], trace]),
-                    kernel,
-                    mode="valid",
-                )
-            if activity_compression != 1.0:
-                # Real programs mix hot and cold paths: their windowed
-                # activity variance is a fraction of a worst-case
-                # synthetic loop's.  Compress fluctuation around the
-                # mean; the mean (IR drop) is untouched.
-                mean = trace.mean()
-                trace = mean + activity_compression * (trace - mean)
-            n = trace.size
-            trace = np.concatenate(
-                [
-                    np.roll(trace, int(timing_jitter_rng.integers(n)))
-                    for _ in range(max(1, jitter_tiles))
-                ]
-            )
-        response = self._pdn.solver(self._powered_cores).solve(
-            trace, execution.sample_rate_hz
-        )
-        response = _recentered(response, self._voltage)
-        return ClusterRun(
-            cluster=self,
+        """Execute ``program`` and solve the rail response: a one-item
+        execute/current/pdn chain run at the present operating point
+        against ``session`` (fresh when ``None``).  Jitter arguments
+        are :class:`ChainItem`'s; dI/dt viruses pass no jitter RNG."""
+        item = chain.ChainItem(
             program=program,
-            execution=execution,
-            response=response,
-            clock_hz=self._clock_hz,
-            voltage=self._voltage,
-            powered_cores=self._powered_cores,
-            active_cores=active,
+            active_cores=active_cores,
+            iterations=iterations,
+            phase_offsets=phase_offsets,
+            timing_jitter_rng=timing_jitter_rng,
+            jitter_tiles=jitter_tiles,
+            jitter_smooth_cycles=jitter_smooth_cycles,
+            activity_compression=activity_compression,
         )
+        path = chain.SignalPath(
+            [chain.ExecuteStage(), chain.CurrentStage(), chain.PDNStage()],
+            session=session,
+        )
+        request = chain.ChainRequest(
+            self, [item], want_amplitude=False, want_trace=False
+        )
+        return path.run(request)[0].to_cluster_run(self)
 
     def run_mixed(
         self,
@@ -334,7 +279,7 @@ class Cluster:
             uncore_current_a=self.spec.uncore_current_a,
             iterations=iterations,
         )
-        trace = execution.load_current * self._current_scale()
+        trace = execution.load_current * self.current_scale()
         response = self._pdn.solver(self._powered_cores).solve(
             trace, execution.sample_rate_hz
         )
@@ -382,7 +327,7 @@ class Cluster:
             padded = np.full(length, model.base_current_a)
             padded[: trace.size] = trace
             combined += padded
-        combined *= self._current_scale()
+        combined *= self.current_scale()
         response = self._pdn.solver(self._powered_cores).solve(
             combined, self._clock_hz
         )
@@ -398,16 +343,24 @@ class Cluster:
         )
 
     def run_trace(
-        self, load_current: np.ndarray, sample_rate_hz: float
+        self,
+        load_current: np.ndarray,
+        sample_rate_hz: float,
+        session: Optional[chain.SimulationSession] = None,
     ) -> PeriodicResponse:
-        """Rail response to an explicit current trace (SCL, idle, noise)."""
-        response = self._pdn.solver(self._powered_cores).solve(
+        """Rail response to an explicit current trace (SCL, idle, noise),
+        solved on ``session``'s transfer-function grids."""
+        if session is None:
+            session = chain.SimulationSession()
+        return session.pdn_solve(
+            self,
+            self._powered_cores,
+            self._voltage,
             np.asarray(load_current, dtype=float) * (
                 self._voltage / self.spec.nominal_voltage
             ),
             sample_rate_hz,
         )
-        return _recentered(response, self._voltage)
 
 
 def _recentered(

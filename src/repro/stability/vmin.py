@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.chain.session import SimulationSession
 from repro.platforms.base import Cluster
 from repro.stability.failure import CriticalVoltageModel, Outcome
 from repro.workloads.base import Workload
@@ -43,7 +44,12 @@ class VminResult:
 
 
 class VminTester:
-    """Runs V_MIN experiments on a cluster with a failure model."""
+    """Runs V_MIN experiments on a cluster with a failure model.
+
+    Every run goes through one session owned for the tester's lifetime
+    (``session``, or a fresh one), so each program is scheduled once
+    per active-core count across the reference, steps and repeats.
+    """
 
     def __init__(
         self,
@@ -51,13 +57,22 @@ class VminTester:
         failure_model: CriticalVoltageModel,
         step_v: float = 0.010,
         seed: int = 0,
+        session: Optional[SimulationSession] = None,
     ):
         if step_v <= 0.0:
             raise ValueError("voltage step must be positive")
         self.cluster = cluster
         self.failure_model = failure_model
         self.step_v = step_v
+        self.session = session if session is not None else (
+            SimulationSession()
+        )
         self._rng = np.random.default_rng(seed)
+
+    def _run(self, workload: Workload, active_cores: Optional[int]):
+        return workload.run(
+            self.cluster, active_cores=active_cores, session=self.session
+        )
 
     def _single_descent(
         self,
@@ -71,7 +86,7 @@ class VminTester:
         voltage = start_v
         while voltage >= floor_v:
             self.cluster.set_voltage(voltage)
-            run = workload.run(self.cluster, active_cores=active_cores)
+            run = self._run(workload, active_cores)
             outcome = self.failure_model.classify(
                 run.min_voltage, self.cluster.clock_hz, self._rng
             )
@@ -102,9 +117,7 @@ class VminTester:
         try:
             # Reference measurement at nominal voltage.
             self.cluster.set_voltage(self.cluster.spec.nominal_voltage)
-            nominal_run = workload.run(
-                self.cluster, active_cores=active_cores
-            )
+            nominal_run = self._run(workload, active_cores)
             droop = nominal_run.max_droop
             p2p = nominal_run.peak_to_peak
 

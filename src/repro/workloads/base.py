@@ -8,6 +8,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.chain.session import SimulationSession
 from repro.cpu.program import LoopProgram
 from repro.pdn.steady_state import PeriodicResponse
 from repro.platforms.base import Cluster, ClusterRun
@@ -42,9 +43,13 @@ class Workload(abc.ABC):
 
     @abc.abstractmethod
     def run(
-        self, cluster: Cluster, active_cores: Optional[int] = None
+        self,
+        cluster: Cluster,
+        active_cores: Optional[int] = None,
+        session: Optional[SimulationSession] = None,
     ) -> WorkloadRun:
-        """Execute on ``cluster`` and return the steady rail response."""
+        """Execute on ``cluster`` and return the steady rail response;
+        ``session`` caches work across calls (fresh when ``None``)."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
@@ -77,7 +82,10 @@ class ProgramWorkload(Workload):
         self.activity_compression = activity_compression
 
     def run(
-        self, cluster: Cluster, active_cores: Optional[int] = None
+        self,
+        cluster: Cluster,
+        active_cores: Optional[int] = None,
+        session: Optional[SimulationSession] = None,
     ) -> WorkloadRun:
         rng = (
             np.random.default_rng(self.jitter_seed)
@@ -93,6 +101,7 @@ class ProgramWorkload(Workload):
             activity_compression=(
                 self.activity_compression if rng is not None else 1.0
             ),
+            session=session,
         )
         return WorkloadRun(
             workload_name=self.name, response=run.response, cluster_run=run
@@ -120,7 +129,10 @@ class IdleWorkload(Workload):
         self.seed = seed
 
     def run(
-        self, cluster: Cluster, active_cores: Optional[int] = None
+        self,
+        cluster: Cluster,
+        active_cores: Optional[int] = None,
+        session: Optional[SimulationSession] = None,
     ) -> WorkloadRun:
         rng = np.random.default_rng(self.seed)
         base = (
@@ -133,5 +145,7 @@ class IdleWorkload(Workload):
         kernel = np.ones(33) / 33.0
         noise = np.convolve(noise, kernel, mode="same")
         trace = base * (1.0 + self.wander_fraction * noise)
-        response = cluster.run_trace(trace, cluster.clock_hz)
+        response = cluster.run_trace(
+            trace, cluster.clock_hz, session=session
+        )
         return WorkloadRun(workload_name=self.name, response=response)

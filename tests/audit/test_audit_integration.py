@@ -77,6 +77,46 @@ class TestByteIdentityUnderAudit:
         assert tracker.stats.violations == 0
 
 
+class TestVminUnderAudit:
+    def test_audited_vmin_identical_and_checked(self, a72):
+        """V_MIN's cache hits (one execution per program, one TF grid
+        per trace length) are shadow-checked, and the jitter draws are
+        ledgered, without moving any result."""
+        from repro.stability.failure import failure_model_for
+        from repro.stability.vmin import VminTester
+        from repro.workloads.spec import spec_workload
+        from repro.workloads.stress import idle_workload
+
+        def compare(session):
+            workloads = [
+                idle_workload(),
+                spec_workload(a72.spec.isa, "gcc"),
+            ]
+            tester = VminTester(
+                a72,
+                failure_model_for(a72.name),
+                step_v=0.02,
+                seed=3,
+                session=session,
+            )
+            results = tester.compare(workloads, benchmark_repeats=2)
+            return {
+                name: (r.vmin, r.crash_voltage, r.max_droop_at_nominal,
+                       r.outcomes)
+                for name, r in results.items()
+            }
+
+        tracker = DeterminismTracker(sample_rate=1.0)
+        plain = compare(None)
+        audited = compare(SimulationSession(audit=tracker))
+        assert audited == plain
+        summary = tracker.summary()
+        assert summary["violations"] == 0
+        assert summary["ledger_stages"] > 0
+        assert summary["shadow_checks"]["executions"] > 0
+        assert summary["shadow_checks"]["tf_grids"] > 0
+
+
 class TestCliAudit:
     def test_sweep_output_identical_with_audit(self, capsys):
         argv = ["sweep", "--platform", "a53", "--samples", "2",

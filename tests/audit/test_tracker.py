@@ -209,6 +209,34 @@ class TestDrawLedger:
         with pytest.raises(RngLedgerViolation):
             path.run(self.request(a53))
 
+    def test_jitter_stream_drained_by_current_stage_only(self, a53):
+        """A jittered item's ``timing_jitter_rng`` is a ledger stream:
+        the current stage may draw from it, no other stage may."""
+        tracker = paranoid_tracker()
+        path, _ = audited_chain(a53, tracker)
+        jitter = np.random.default_rng(7)
+        item = ChainItem(
+            program=high_low_program(a53.spec.isa),
+            timing_jitter_rng=jitter,
+            jitter_tiles=4,
+        )
+        request = ChainRequest(cluster=a53, items=[item], samples=3)
+        state = jitter.bit_generator.state
+        path.run(request)
+        assert jitter.bit_generator.state != state
+        assert tracker.stats.violations == 0
+
+        class RogueStage:
+            name = "rogue"
+            drains = ()
+
+            def run(self, batch):
+                jitter.integers(8)
+
+        path.stages.insert(3, RogueStage())
+        with pytest.raises(RngLedgerViolation, match="'jitter'"):
+            path.run(request)
+
     def test_ledger_can_be_disabled(self, a53):
         tracker = paranoid_tracker(ledger=False)
         path, analyzer = audited_chain(a53, tracker)

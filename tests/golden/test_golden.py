@@ -3,7 +3,10 @@
 Each test drives a fully seeded scenario through the real measurement
 chain and compares against a committed JSON data file to 1e-12 relative
 tolerance (strict enough to catch any modeling change, loose enough to
-survive FMA-contraction differences across platforms).
+survive FMA-contraction differences across platforms).  The V_MIN
+golden is compared exactly: its outcomes are discrete and its voltages
+sit on the 10 mV grid, so any drift in the rail waveform shows up as a
+changed outcome log.
 
 To refresh after an *intentional* physics/model change::
 
@@ -21,11 +24,16 @@ import pytest
 
 from repro.core.characterizer import EMCharacterizer
 from repro.core.resonance import ResonanceSweep
-from repro.cpu.program import random_program
+from repro.cpu.program import program_from_mnemonics, random_program
 from repro.ga.engine import GAConfig, GAEngine
 from repro.ga.fitness import ClusterFitness, EMAmplitudeFitness
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 from repro.obs.context import RunContext
+from repro.stability.failure import failure_model_for
+from repro.stability.vmin import VminTester
+from repro.workloads.base import ProgramWorkload
+from repro.workloads.spec import spec_workload
+from repro.workloads.stress import idle_workload
 
 GOLDEN_DIR = Path(__file__).parent
 
@@ -39,9 +47,10 @@ def _characterizer():
     )
 
 
-def check_golden(name, produced, update):
+def check_golden(name, produced, update, exact=False):
     """Compare ``produced`` (a jsonable dict) against the golden file,
-    or rewrite the file under ``--update-golden``."""
+    or rewrite the file under ``--update-golden``.  ``exact`` demands
+    equality instead of the ``REL_TOL`` float comparison."""
     path = GOLDEN_DIR / f"{name}.json"
     # Round-trip through JSON so both sides have identical types.
     produced = json.loads(json.dumps(produced))
@@ -57,7 +66,10 @@ def check_golden(name, produced, update):
             "--update-golden"
         )
     expected = json.loads(path.read_text(encoding="utf-8"))
-    _assert_close(expected, produced, where=name)
+    if exact:
+        assert produced == expected, f"{name}: differs from golden"
+    else:
+        _assert_close(expected, produced, where=name)
 
 
 def _assert_close(expected, produced, where):
@@ -212,3 +224,47 @@ class TestIslandGolden:
             ],
         }
         check_golden("a53_island_ga_history", produced, update_golden)
+
+
+class TestVminGolden:
+    def test_a72_vmin_outcomes(self, a72, update_golden):
+        """Fig. 10 slice: idle, two SPEC members and a resonant virus
+        through the full V_MIN protocol, every descent logged."""
+        virus = ProgramWorkload(
+            "virus",
+            program_from_mnemonics(
+                a72.spec.isa, ["add"] * 20 + ["sdiv"] * 2, name="virus"
+            ),
+            jitter_seed=None,
+        )
+        workloads = [
+            idle_workload(),
+            spec_workload(a72.spec.isa, "gcc"),
+            spec_workload(a72.spec.isa, "lbm"),
+            virus,
+        ]
+        tester = VminTester(
+            a72, failure_model_for(a72.name), step_v=0.01, seed=0
+        )
+        results = tester.compare(
+            workloads,
+            virus_repeats=5,
+            benchmark_repeats=2,
+            virus_names=("virus",),
+        )
+        produced = {
+            name: {
+                "vmin": r.vmin,
+                "crash_voltage": r.crash_voltage,
+                "max_droop_at_nominal": r.max_droop_at_nominal,
+                "peak_to_peak_at_nominal": r.peak_to_peak_at_nominal,
+                "outcomes": [
+                    [[v, outcome.name] for v, outcome in log]
+                    for log in r.outcomes
+                ],
+            }
+            for name, r in results.items()
+        }
+        check_golden(
+            "a72_vmin_outcomes", produced, update_golden, exact=True
+        )

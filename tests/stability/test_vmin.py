@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.chain.session import SimulationSession
 from repro.cpu.program import program_from_mnemonics
 from repro.stability.failure import failure_model_for
 from repro.stability.vmin import VminTester
@@ -101,3 +102,58 @@ class TestVminOrdering:
         """SDC/app-crash appears at or above the crash voltage."""
         result = tester.run(resonant_virus, repeats=5)
         assert result.vmin >= result.crash_voltage
+
+
+class TestVminSession:
+    """Only the voltage changes between a workload's runs, so each
+    program is scheduled once per experiment, not once per step."""
+
+    @pytest.mark.parametrize(
+        "step_v, virus_repeats, benchmark_repeats",
+        [(0.01, 5, 2), (0.02, 2, 1)],
+    )
+    def test_one_execution_per_program(
+        self, a72, resonant_virus, step_v, virus_repeats,
+        benchmark_repeats,
+    ):
+        tester = VminTester(
+            a72, failure_model_for("cortex-a72"), step_v=step_v, seed=0
+        )
+        programs = [
+            spec_workload(a72.spec.isa, "gcc"),
+            spec_workload(a72.spec.isa, "lbm"),
+            resonant_virus,
+        ]
+        results = tester.compare(
+            [idle_workload()] + programs,
+            virus_repeats=virus_repeats,
+            benchmark_repeats=benchmark_repeats,
+            virus_names=("virus",),
+        )
+        runs = sum(
+            1 + sum(len(log) for log in r.outcomes)
+            for r in results.values()
+        )
+        assert runs > 10 * len(programs)
+        assert tester.session.stats.execute_misses == len(programs)
+
+    def test_caller_session_is_used(self, a72, resonant_virus):
+        session = SimulationSession()
+        tester = VminTester(
+            a72, failure_model_for("cortex-a72"), session=session
+        )
+        assert tester.session is session
+        tester.run(resonant_virus, repeats=2)
+        assert session.stats.execute_misses == 1
+        assert session.stats.execute_hits > 0
+        assert session.stats.tf_hits > 0
+
+    def test_voltage_and_state_version(self, tester, a72, resonant_virus):
+        """Every step still goes through ``set_voltage``: one bump for
+        the nominal reference, one per step, one for the restore."""
+        a72.set_voltage(0.95)
+        version = a72.state_version
+        result = tester.run(resonant_virus, repeats=2)
+        assert a72.voltage == 0.95
+        steps = sum(len(log) for log in result.outcomes)
+        assert a72.state_version - version == 1 + steps + 1

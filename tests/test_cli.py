@@ -118,6 +118,40 @@ class TestCommands:
             ["vmin", "--platform", "a72", "--workloads", "doom"]
         ) == 2
 
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--step", "0"], "--step"),
+            (["--step", "-0.01"], "--step"),
+            (["--step", "nan"], "--step"),
+            (["--repeats", "0"], "--repeats"),
+            (["--virus-repeats", "0"], "--virus-repeats"),
+            (["--workloads", ",,"], "--workloads"),
+        ],
+    )
+    def test_vmin_bad_flag_fails_with_one_line_error(
+        self, capsys, flags, flag
+    ):
+        assert main(["vmin", "--platform", "a72"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {flag} ")
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda d: d / "nope.meta.json", lambda d: d],
+        ids=["missing", "directory"],
+    )
+    def test_vmin_unreadable_virus_fails_with_one_line_error(
+        self, capsys, tmp_path, make
+    ):
+        path = make(tmp_path)
+        args = ["vmin", "--platform", "a72", "--virus", str(path)]
+        assert main(args) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cannot load --virus {path}: ")
+
     def test_platforms(self, capsys):
         assert main(["platforms"]) == 0
         out = capsys.readouterr().out
