@@ -2,9 +2,10 @@
 
 The paper's V_MIN protocol runs one virus instance per core -- the
 worst case.  Production cores rarely all run the stressor, so how bad
-is a *partial* occupancy?  Using the heterogeneous-mix execution path,
-the A72 virus runs on one core while the sibling runs idle-ish code, a
-SPEC benchmark, or a second virus copy.
+is a *partial* occupancy?  Using co-run chain items (one program per
+core, ``ChainItem(programs=...)``), the A72 virus runs on one core
+while the sibling runs idle-ish code, a SPEC benchmark, or a second
+virus copy.
 
 Result shape: noise grows monotonically with how virus-like the
 sibling's activity is -- a co-running benchmark neither cancels the
@@ -13,7 +14,10 @@ aligned two-copy worst case.  This is why margining uses the
 all-cores-virus configuration.
 """
 
+from repro.chain import ChainItem, ChainRequest, SignalPath
 from repro.cpu.program import program_from_mnemonics
+from repro.em.radiation import DieRadiator
+from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 from repro.workloads.spec import spec_workload
 
 from benchmarks.conftest import print_header
@@ -30,14 +34,21 @@ def test_ext_corun_interference(benchmark, juno_board, a72_em_virus):
 
     def run_cases():
         cases = {
-            "virus alone (1 core)": a72.run_mixed([virus]),
-            "virus + quiet loop": a72.run_mixed([virus, quiet]),
-            "virus + gcc": a72.run_mixed([virus, gcc]),
-            "virus + virus": a72.run_mixed([virus, virus]),
+            "virus alone (1 core)": [virus],
+            "virus + quiet loop": [virus, quiet],
+            "virus + gcc": [virus, gcc],
+            "virus + virus": [virus, virus],
         }
+        request = ChainRequest(
+            a72,
+            [ChainItem(programs=programs) for programs in cases.values()],
+            want_amplitude=False,
+            want_trace=False,
+        )
+        path = SignalPath.em_chain(DieRadiator(), SpectrumAnalyzer())
         return {
-            name: (resp.peak_to_peak, resp.max_droop)
-            for name, resp in cases.items()
+            name: (item.peak_to_peak, item.max_droop)
+            for name, item in zip(cases, path.run(request))
         }
 
     results = benchmark.pedantic(run_cases, rounds=1, iterations=1)

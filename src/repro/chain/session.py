@@ -92,6 +92,20 @@ class SessionStats:
         }
 
 
+def _recentered(
+    response: "PeriodicResponse", supply_voltage: float
+) -> "PeriodicResponse":
+    """Shift a response to a non-nominal supply voltage setting."""
+    if supply_voltage == response.nominal_voltage:
+        return response
+    delta = supply_voltage - response.nominal_voltage
+    return replace(
+        response,
+        nominal_voltage=supply_voltage,
+        die_voltage=response.die_voltage + delta,
+    )
+
+
 class SimulationSession:
     """Cross-call caches for one simulation campaign.
 
@@ -300,8 +314,6 @@ class SimulationSession:
         the distinct cluster states a campaign visits -- so repeated
         solves at a revisited state never re-run the AC analysis.
         """
-        from repro.platforms.base import _recentered
-
         solver = cluster.pdn.solver(powered_cores)
         key = (
             cluster.uid,

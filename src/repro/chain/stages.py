@@ -132,8 +132,8 @@ class ExecuteStage:
     Single-program executions come from the session cache (schedule and
     amperes-per-cycle are operating-point independent); mixed and
     cache-nondeterministic items are computed fresh, the latter drawing
-    from the item's ``memory_rng`` exactly as
-    ``Cluster.run_nondeterministic`` does.
+    from the item's ``memory_rng`` one windowed schedule per active
+    core, in core order.
     """
 
     name = "execute"

@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pdn.steady_state import PeriodicResponse
     from repro.em.radiation import EmissionSpectrum
     from repro.instruments.spectrum_analyzer import SpectrumTrace
-    from repro.platforms.base import Cluster, ClusterRun
+    from repro.platforms.base import Cluster
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,11 @@ class ChainItem:
 
     Exactly one of ``program`` / ``programs`` must be set.  Supplying
     ``cache_model`` (with ``memory_rng``) selects the
-    cache-nondeterministic execution mode of
-    ``Cluster.run_nondeterministic``; ``programs`` selects the
-    heterogeneous-mix mode of ``Cluster.run_mixed``.
+    cache-nondeterministic execution mode of the Section 3.3 ablation:
+    loads beyond the L1-resident window miss with random penalties.
+    ``programs`` co-runs one loop per active core (the rail sees the
+    superposition), so ``active_cores`` is implied by its length.
+    ``phase_offsets`` applies to plain single-program items only.
     ``timing_jitter_rng`` and the three fields after it model a real
     workload's timing variation (see :class:`repro.chain.CurrentStage`);
     dI/dt viruses are deterministic (Section 3.3) and leave it ``None``.
@@ -88,6 +90,16 @@ class ChainItem:
                 )
             if self.memory_rng is None:
                 raise ValueError("cache_model requires memory_rng")
+        if self.programs is not None and self.active_cores is not None:
+            raise ValueError(
+                "programs items take their active core count from "
+                "len(programs); drop active_cores"
+            )
+        if self.phase_offsets is not None and self.mode != "single":
+            raise ValueError(
+                "phase_offsets apply to single-program items, "
+                f"not {self.mode} items"
+            )
 
 
 @dataclass
@@ -116,7 +128,8 @@ class ChainRequest:
 
 @dataclass
 class ChainItemResult:
-    """Everything one item produced on its way through the chain."""
+    """Everything one item produced on its way through the chain: the
+    one per-run result type (``Cluster.run`` returns it too)."""
 
     item: ChainItem
     clock_hz: float
@@ -157,24 +170,13 @@ class ChainItemResult:
     def peak_to_peak(self) -> float:
         return self.response.peak_to_peak
 
-    def to_cluster_run(self, cluster: "Cluster") -> "ClusterRun":
-        """Repackage a single-mode result as a legacy ``ClusterRun``."""
-        from repro.platforms.base import ClusterRun
-
-        if self.item.mode != "single":
-            raise ValueError(
-                f"cannot build a ClusterRun from a {self.item.mode} item"
-            )
-        return ClusterRun(
-            cluster=cluster,
-            program=self.item.program,
-            execution=self.execution,
-            response=self.response,
-            clock_hz=self.clock_hz,
-            voltage=self.voltage,
-            powered_cores=self.powered_cores,
-            active_cores=self.active_cores,
-        )
+    def dominant_frequency_hz(self, band: Tuple[float, float]) -> float:
+        """Strongest rail harmonic inside ``band``; 0.0 when no
+        harmonic falls in it."""
+        try:
+            return self.response.dominant_frequency_hz(band)
+        except ValueError:
+            return 0.0
 
 
 @dataclass

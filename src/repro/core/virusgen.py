@@ -176,24 +176,18 @@ class VirusGenerator:
         item = self.characterizer.chain_path().run(
             request, event_log=self.event_log
         ).items[0]
-        run = item.to_cluster_run(self.cluster)
-        try:
-            dominant = run.response.dominant_frequency_hz(
-                self.characterizer.band
-            )
-        except ValueError:
-            dominant = 0.0
+        dominant = item.dominant_frequency_hz(self.characterizer.band)
         summary = GARunSummary(
             cluster_name=self.cluster.name,
             metric=metric,
             ga_result=result,
             virus=best.best_program,
             dominant_frequency_hz=dominant,
-            max_droop_v=run.max_droop,
-            peak_to_peak_v=run.peak_to_peak,
-            ipc=run.ipc,
-            loop_frequency_hz=run.loop_frequency_hz,
-            loop_period_s=run.loop_period_s,
+            max_droop_v=item.max_droop,
+            peak_to_peak_v=item.peak_to_peak,
+            ipc=item.ipc,
+            loop_frequency_hz=item.loop_frequency_hz,
+            loop_period_s=item.execution.loop_period_s,
         )
         self.event_log.emit(
             "virus_run_end",
@@ -202,8 +196,8 @@ class VirusGenerator:
             best_generation=best.generation,
             best_score=best.best.score,
             dominant_frequency_hz=dominant,
-            max_droop_v=run.max_droop,
-            ipc=run.ipc,
+            max_droop_v=item.max_droop,
+            ipc=item.ipc,
         )
         return summary
 

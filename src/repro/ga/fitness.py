@@ -16,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.chain import ChainItemResult
 from repro.cpu.program import LoopProgram
 from repro.em.radiation import DieRadiator
 from repro.instruments.oscilloscope import Oscilloscope
 from repro.instruments.probes import DifferentialProbe
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
-from repro.platforms.base import Cluster, ClusterRun
+from repro.platforms.base import Cluster
 
 
 @dataclass
@@ -40,14 +41,10 @@ class FitnessEvaluation:
 
 
 def _common_metrics(
-    run: ClusterRun, band: Tuple[float, float]
+    run: ChainItemResult, band: Tuple[float, float]
 ) -> Tuple[float, float, float, float]:
-    try:
-        dominant = run.response.dominant_frequency_hz(band)
-    except ValueError:
-        dominant = 0.0
     return (
-        dominant,
+        run.dominant_frequency_hz(band),
         run.max_droop,
         run.peak_to_peak,
         run.ipc,
@@ -250,17 +247,15 @@ class EMAmplitudeFitness:
         result = self._chain_path().run(request)
         return [self._from_chain_item(item) for item in result.items]
 
-    def _from_chain_item(self, item) -> FitnessEvaluation:
-        try:
-            dominant = item.response.dominant_frequency_hz(self.band)
-        except ValueError:
-            dominant = 0.0
+    def _from_chain_item(self, item: ChainItemResult) -> FitnessEvaluation:
         # The paper reports the GA's dominant frequency from the SA peak
         # (the chain's banded emission peak when no trace was swept).
-        peak_freq = item.peak_frequency_hz or 0.0
         return FitnessEvaluation(
             score=item.amplitude_w,
-            dominant_frequency_hz=peak_freq or dominant,
+            dominant_frequency_hz=(
+                item.peak_frequency_hz
+                or item.dominant_frequency_hz(self.band)
+            ),
             max_droop_v=item.max_droop,
             peak_to_peak_v=item.peak_to_peak,
             ipc=item.ipc,

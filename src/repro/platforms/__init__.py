@@ -13,12 +13,7 @@
   Section 3.2 (compile/run/kill protocol over a transport).
 """
 
-from repro.platforms.base import (
-    Cluster,
-    ClusterRun,
-    ClusterSpec,
-    NoiseVisibility,
-)
+from repro.platforms.base import Cluster, ClusterSpec, NoiseVisibility
 from repro.platforms.gpu import GPUCard, make_gpu_card
 from repro.platforms.juno import JunoBoard, make_juno_board
 from repro.platforms.amd import AMDDesktop, make_amd_desktop
@@ -27,7 +22,6 @@ from repro.platforms.target import SimulatedTarget, Workstation
 
 __all__ = [
     "Cluster",
-    "ClusterRun",
     "ClusterSpec",
     "NoiseVisibility",
     "JunoBoard",

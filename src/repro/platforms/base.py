@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,7 +27,6 @@ import numpy as np
 from repro import chain
 from repro.cpu.current import CurrentModel
 from repro.cpu.isa import InstructionSet
-from repro.cpu.multicore import ClusterExecution, CoreModel
 from repro.cpu.pipeline import Pipeline
 from repro.cpu.program import LoopProgram
 from repro.pdn.models import PDNModel, PDNParameters
@@ -225,11 +224,14 @@ class Cluster:
         jitter_smooth_cycles: int = 12,
         activity_compression: float = 1.0,
         session: Optional[chain.SimulationSession] = None,
-    ) -> "ClusterRun":
+    ) -> chain.ChainItemResult:
         """Execute ``program`` and solve the rail response: a one-item
         execute/current/pdn chain run at the present operating point
         against ``session`` (fresh when ``None``).  Jitter arguments
-        are :class:`ChainItem`'s; dI/dt viruses pass no jitter RNG."""
+        are :class:`ChainItem`'s; dI/dt viruses pass no jitter RNG.
+        Co-runs and cache-miss runs are chain items too:
+        ``ChainItem(programs=...)`` and
+        ``ChainItem(cache_model=..., memory_rng=...)``."""
         item = chain.ChainItem(
             program=program,
             active_cores=active_cores,
@@ -247,100 +249,7 @@ class Cluster:
         request = chain.ChainRequest(
             self, [item], want_amplitude=False, want_trace=False
         )
-        return path.run(request)[0].to_cluster_run(self)
-
-    def run_mixed(
-        self,
-        programs: Sequence[LoopProgram],
-        iterations: int = 16,
-    ) -> PeriodicResponse:
-        """Co-run a different program on each active core.
-
-        ``programs`` supplies one loop per active core (at most the
-        powered count); the rail sees the superposition -- the realistic
-        scenario where a virus owns only some of the cores while other
-        work runs alongside.
-        """
-        if not 1 <= len(programs) <= self._powered_cores:
-            raise ValueError(
-                f"{self.name}: need 1..{self._powered_cores} programs, "
-                f"got {len(programs)}"
-            )
-        from repro.cpu.multicore import execute_mixed_on_cluster
-
-        core = CoreModel(
-            pipeline=self._pipeline,
-            current_model=self.spec.current_model,
-            clock_hz=self._clock_hz,
-        )
-        execution = execute_mixed_on_cluster(
-            core,
-            programs,
-            uncore_current_a=self.spec.uncore_current_a,
-            iterations=iterations,
-        )
-        trace = execution.load_current * self.current_scale()
-        response = self._pdn.solver(self._powered_cores).solve(
-            trace, execution.sample_rate_hz
-        )
-        return _recentered(response, self._voltage)
-
-    def run_nondeterministic(
-        self,
-        program: LoopProgram,
-        cache_model,
-        memory_rng: np.random.Generator,
-        active_cores: Optional[int] = None,
-        iterations: int = 16,
-    ) -> "NondeterministicRun":
-        """Execute with cache-miss timing nondeterminism enabled.
-
-        Reproduces the environment the paper's virus template avoids
-        (Section 3.3): memory accesses beyond the L1-resident window
-        miss with random penalties, so every call returns a slightly
-        different rail response -- a noisy fitness signal for the GA
-        cache-miss ablation.
-        """
-        active = active_cores if active_cores is not None else (
-            self._powered_cores
-        )
-        if active > self._powered_cores:
-            raise ValueError(
-                f"{self.name}: {active} active cores exceed "
-                f"{self._powered_cores} powered"
-            )
-        model = self.spec.current_model
-        traces = []
-        windows = []
-        for _ in range(active):
-            window = self._pipeline.windowed_schedule(
-                program,
-                iterations=iterations,
-                cache=cache_model,
-                memory_rng=memory_rng,
-            )
-            windows.append(window)
-            traces.append(model.window_trace(window))
-        length = max(t.size for t in traces)
-        combined = np.full(length, self.spec.uncore_current_a)
-        for trace in traces:
-            padded = np.full(length, model.base_current_a)
-            padded[: trace.size] = trace
-            combined += padded
-        combined *= self.current_scale()
-        response = self._pdn.solver(self._powered_cores).solve(
-            combined, self._clock_hz
-        )
-        response = _recentered(response, self._voltage)
-        return NondeterministicRun(
-            cluster=self,
-            program=program,
-            windows=windows,
-            response=response,
-            clock_hz=self._clock_hz,
-            voltage=self._voltage,
-            active_cores=active,
-        )
+        return path.run(request)[0]
 
     def run_trace(
         self,
@@ -361,90 +270,3 @@ class Cluster:
             ),
             sample_rate_hz,
         )
-
-
-def _recentered(
-    response: PeriodicResponse, supply_voltage: float
-) -> PeriodicResponse:
-    """Shift a response to a non-nominal supply voltage setting."""
-    if supply_voltage == response.nominal_voltage:
-        return response
-    delta = supply_voltage - response.nominal_voltage
-    return PeriodicResponse(
-        sample_rate_hz=response.sample_rate_hz,
-        nominal_voltage=supply_voltage,
-        die_voltage=response.die_voltage + delta,
-        die_current=response.die_current,
-        harmonic_frequencies_hz=response.harmonic_frequencies_hz,
-        die_voltage_harmonics=response.die_voltage_harmonics,
-        die_current_harmonics=response.die_current_harmonics,
-    )
-
-
-@dataclass
-class ClusterRun:
-    """One steady-state program execution on a cluster."""
-
-    cluster: Cluster
-    program: LoopProgram
-    execution: ClusterExecution
-    response: PeriodicResponse
-    clock_hz: float
-    voltage: float
-    powered_cores: int
-    active_cores: int
-
-    @property
-    def ipc(self) -> float:
-        return self.execution.ipc
-
-    @property
-    def loop_frequency_hz(self) -> float:
-        return self.execution.loop_frequency_hz
-
-    @property
-    def loop_period_s(self) -> float:
-        return self.execution.loop_period_s
-
-    @property
-    def max_droop(self) -> float:
-        return self.response.max_droop
-
-    @property
-    def peak_to_peak(self) -> float:
-        return self.response.peak_to_peak
-
-
-@dataclass
-class NondeterministicRun:
-    """One cache-nondeterministic execution window on a cluster."""
-
-    cluster: Cluster
-    program: LoopProgram
-    windows: list
-    response: PeriodicResponse
-    clock_hz: float
-    voltage: float
-    active_cores: int
-
-    @property
-    def ipc(self) -> float:
-        return self.windows[0].ipc
-
-    @property
-    def loop_frequency_hz(self) -> float:
-        mean_cycles = self.windows[0].mean_iteration_cycles()
-        return self.clock_hz / mean_cycles
-
-    @property
-    def timing_jitter_cycles(self) -> float:
-        """Per-iteration period spread (zero without cache misses)."""
-        return self.windows[0].iteration_jitter_cycles()
-
-    @property
-    def max_droop(self) -> float:
-        return self.response.max_droop
-
-    @property
-    def peak_to_peak(self) -> float:
-        return self.response.peak_to_peak

@@ -4,8 +4,9 @@ A :class:`TokenBucket` refills continuously at ``rate_per_s`` up to
 ``burst`` tokens; each submission costs one token.  The clock is
 injectable (defaulting to ``time.monotonic`` -- never wall time, audit
 rule R2) so tests drive the bucket deterministically with a fake
-clock.  :class:`TenantRateLimiter` lazily keeps one bucket per tenant
-and is a no-op when constructed with ``rate_per_s=None``.
+clock.  :class:`TenantRateLimiter` lazily keeps one bucket per tenant,
+forgets buckets that have refilled to ``burst``, and is a no-op when
+constructed with ``rate_per_s=None``.
 """
 
 from __future__ import annotations
@@ -33,13 +34,19 @@ class TokenBucket:
         self._tokens = self.burst
         self._updated = clock()
 
+    def _available(self, now: float) -> float:
+        elapsed = max(0.0, now - self._updated)
+        return min(self.burst, self._tokens + elapsed * self.rate_per_s)
+
     def _refill(self) -> None:
         now = self._clock()
-        elapsed = max(0.0, now - self._updated)
+        self._tokens = self._available(now)
         self._updated = now
-        self._tokens = min(
-            self.burst, self._tokens + elapsed * self.rate_per_s
-        )
+
+    def is_full(self) -> bool:
+        """Refilled to ``burst``, i.e. indistinguishable from a new
+        bucket.  Reads the clock without changing the bucket."""
+        return self._available(self._clock()) >= self.burst
 
     def try_acquire(self, tokens: float = 1.0) -> float:
         """Take ``tokens`` if available.
@@ -84,6 +91,14 @@ class TenantRateLimiter:
             return 0.0
         bucket = self._buckets.get(tenant)
         if bucket is None:
+            # A full bucket acts exactly like a new one, so dropping
+            # it is unobservable; this bounds the dict by the tenants
+            # seen within one refill window.
+            self._buckets = {
+                name: kept
+                for name, kept in self._buckets.items()
+                if not kept.is_full()
+            }
             bucket = TokenBucket(
                 self.rate_per_s, self.burst, clock=self._clock
             )

@@ -8,10 +8,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.chain.session import SimulationSession
+from repro.chain import ChainItemResult, SimulationSession
 from repro.cpu.program import LoopProgram
 from repro.pdn.steady_state import PeriodicResponse
-from repro.platforms.base import Cluster, ClusterRun
+from repro.platforms.base import Cluster
 
 
 @dataclass
@@ -20,7 +20,7 @@ class WorkloadRun:
 
     workload_name: str
     response: PeriodicResponse
-    cluster_run: Optional[ClusterRun] = None
+    cluster_run: Optional[ChainItemResult] = None
 
     @property
     def max_droop(self) -> float:

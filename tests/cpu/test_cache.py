@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.chain import ChainItem
 from repro.cpu.arm import ARM_ISA
 from repro.cpu.cache import CacheModel
 from repro.cpu.current import CurrentModel
 from repro.cpu.isa import InstructionSet
 from repro.cpu.pipeline import InOrderPipeline
 from repro.cpu.program import program_from_mnemonics, random_program
+from tests.golden.test_golden import response_only
 
 WIDE_MEM_ISA = InstructionSet(
     name="armv8-wide-mem",
@@ -126,21 +128,25 @@ class TestNondeterministicPipeline:
         assert charge == pytest.approx(expected, rel=1e-6)
 
 
-class TestClusterNondeterministicRun:
+class TestCacheMissChainItem:
+    def _item(self, rng):
+        return ChainItem(
+            program=missy_program(),
+            cache_model=CacheModel(l1_slots=64),
+            memory_rng=rng,
+        )
+
     def test_runs_differ_between_calls(self, a72):
-        program = missy_program()
         rng = np.random.default_rng(7)
-        cache = CacheModel(l1_slots=64)
-        r1 = a72.run_nondeterministic(program, cache, rng)
-        r2 = a72.run_nondeterministic(program, cache, rng)
+        r1 = response_only(a72, [self._item(rng)])[0]
+        r2 = response_only(a72, [self._item(rng)])[0]
         assert r1.max_droop != pytest.approx(r2.max_droop, rel=1e-9)
-        assert r1.timing_jitter_cycles > 0.0
+        assert r1.windows[0].iteration_jitter_cycles() > 0.0
 
     def test_metrics_available(self, a72):
-        program = missy_program()
-        run = a72.run_nondeterministic(
-            program, CacheModel(l1_slots=64), np.random.default_rng(8)
-        )
+        run = response_only(
+            a72, [self._item(np.random.default_rng(8))]
+        )[0]
         assert run.ipc > 0.0
         assert run.loop_frequency_hz > 0.0
         assert run.peak_to_peak > 0.0

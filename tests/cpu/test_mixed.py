@@ -1,8 +1,10 @@
-"""Unit tests for heterogeneous (per-core mixed) execution."""
+"""Unit tests for heterogeneous (per-core mixed) execution and the
+chain's co-run items."""
 
 import numpy as np
 import pytest
 
+from repro.chain import ChainItem
 from repro.cpu.arm import ARM_ISA
 from repro.cpu.current import CurrentModel
 from repro.cpu.multicore import (
@@ -12,6 +14,7 @@ from repro.cpu.multicore import (
 )
 from repro.cpu.pipeline import InOrderPipeline
 from repro.cpu.program import program_from_mnemonics
+from tests.golden.test_golden import response_only
 
 
 @pytest.fixture
@@ -81,25 +84,29 @@ class TestMixedExecution:
         assert freqs[0] != freqs[1]
 
 
-class TestClusterRunMixed:
+class TestCoRunChainItem:
     def test_virus_plus_background(self, a72, hilo):
         """A virus on one core with a quiet loop on the other still
         rings the rail, but less than two aligned virus copies."""
         a72.set_clock(540e6)  # hilo at the 67.5 MHz resonance
         quiet = program_from_mnemonics(a72.spec.isa, ["add"] * 9)
-        both_virus = a72.run_mixed([hilo, hilo])
-        one_virus = a72.run_mixed([hilo, quiet])
+        both_virus, one_virus = response_only(
+            a72,
+            [ChainItem(programs=[hilo, hilo]),
+             ChainItem(programs=[hilo, quiet])],
+        )
         assert both_virus.peak_to_peak > one_virus.peak_to_peak
         assert one_virus.peak_to_peak > 0.005
 
     def test_program_count_bounds(self, a72, hilo):
         with pytest.raises(ValueError):
-            a72.run_mixed([])
+            response_only(a72, [ChainItem(programs=[])])
         with pytest.raises(ValueError):
-            a72.run_mixed([hilo] * 3)  # only 2 cores
+            # only 2 cores
+            response_only(a72, [ChainItem(programs=[hilo] * 3)])
 
     def test_single_program_matches_single_core_run(self, a72, hilo):
-        mixed = a72.run_mixed([hilo])
+        mixed = response_only(a72, [ChainItem(programs=[hilo])])[0]
         direct = a72.run(hilo, active_cores=1)
         assert mixed.max_droop == pytest.approx(
             direct.max_droop, rel=1e-9

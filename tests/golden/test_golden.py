@@ -6,7 +6,8 @@ tolerance (strict enough to catch any modeling change, loose enough to
 survive FMA-contraction differences across platforms).  The V_MIN
 golden is compared exactly: its outcomes are discrete and its voltages
 sit on the 10 mV grid, so any drift in the rail waveform shows up as a
-changed outcome log.
+changed outcome log.  The co-run / cache-miss golden is exact too: it
+holds sha256 digests of the rail waveforms.
 
 To refresh after an *intentional* physics/model change::
 
@@ -16,22 +17,29 @@ then review the diff of ``tests/golden/*.json`` like any other code
 change -- an unexplained delta is a regression, not noise.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.chain import ChainItem, ChainRequest, SignalPath
 from repro.core.characterizer import EMCharacterizer
 from repro.core.resonance import ResonanceSweep
+from repro.cpu.cache import CacheModel
+from repro.cpu.isa import InstructionSet
 from repro.cpu.program import program_from_mnemonics, random_program
+from repro.em.radiation import DieRadiator
 from repro.ga.engine import GAConfig, GAEngine
 from repro.ga.fitness import ClusterFitness, EMAmplitudeFitness
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
+from repro.io.serialization import load_program
 from repro.obs.context import RunContext
 from repro.stability.failure import failure_model_for
 from repro.stability.vmin import VminTester
 from repro.workloads.base import ProgramWorkload
+from repro.workloads.loops import high_low_program
 from repro.workloads.spec import spec_workload
 from repro.workloads.stress import idle_workload
 
@@ -267,4 +275,112 @@ class TestVminGolden:
         }
         check_golden(
             "a72_vmin_outcomes", produced, update_golden, exact=True
+        )
+
+
+def response_only(cluster, items):
+    """Run ``items`` through the EM chain with the analyzer readout
+    off, so only execute, current and pdn do work."""
+    request = ChainRequest(
+        cluster, items, want_amplitude=False, want_trace=False
+    )
+    path = SignalPath.em_chain(DieRadiator(), SpectrumAnalyzer())
+    return path.run(request).items
+
+
+def run_digest(item, with_rates=False):
+    """Bit-level fingerprint of one chain item's rail response (the
+    ``mixed_nondet_runs`` golden's per-run record)."""
+    response = item.response
+    produced = {
+        "die_voltage_sha256": hashlib.sha256(
+            response.die_voltage.tobytes()
+        ).hexdigest(),
+        "die_current_sha256": hashlib.sha256(
+            response.die_current.tobytes()
+        ).hexdigest(),
+        "max_droop": item.max_droop,
+        "peak_to_peak": item.peak_to_peak,
+    }
+    if with_rates:
+        produced["ipc"] = item.ipc
+        produced["loop_frequency_hz"] = item.loop_frequency_hz
+    return produced
+
+
+class TestMixedNondeterministicGolden:
+    def test_mixed_and_cache_miss_runs(self, a72, a53, update_golden):
+        """Co-run (``programs=``) and cache-miss (``cache_model=``)
+        items, pinned bit for bit: the four co-run cases of
+        ``benchmarks/test_ext_corun_interference.py``, an a53 program
+        pair and its reverse, and three seed-7 cache-miss runs plus the
+        memory RNG state they leave behind.  The co-run virus is that
+        benchmark's a72em champion (GA seed 42, population 50, 60
+        generations), frozen in ``a72_em_virus.program.json`` so this
+        test does not re-run the GA."""
+        virus = load_program(GOLDEN_DIR / "a72_em_virus.program.json")
+        quiet = program_from_mnemonics(
+            a72.spec.isa, ["mov"] * 10, name="quiet"
+        )
+        gcc = spec_workload(a72.spec.isa, "gcc").program
+        corun = {
+            "virus alone (1 core)": [virus],
+            "virus + quiet loop": [virus, quiet],
+            "virus + gcc": [virus, gcc],
+            "virus + virus": [virus, virus],
+        }
+        corun_items = response_only(
+            a72, [ChainItem(programs=p) for p in corun.values()]
+        )
+
+        pair = [
+            high_low_program(a53.spec.isa),
+            program_from_mnemonics(a53.spec.isa, ["add"] * 6),
+        ]
+        pair_items = response_only(
+            a53,
+            [
+                ChainItem(programs=pair),
+                ChainItem(programs=list(reversed(pair))),
+            ],
+        )
+
+        wide = InstructionSet(
+            name=f"{a72.spec.isa.name}-wide",
+            specs=a72.spec.isa.specs,
+            registers=dict(a72.spec.isa.registers),
+            memory_slots=256,
+        )
+        missy = random_program(
+            wide, 24, np.random.default_rng(1),
+            pool=(wide.spec("ldr"), wide.spec("add")),
+        )
+        memory_rng = np.random.default_rng(7)
+        nondet_items = response_only(
+            a72,
+            [
+                ChainItem(
+                    program=missy,
+                    cache_model=CacheModel(l1_slots=64),
+                    memory_rng=memory_rng,
+                )
+                for _ in range(3)
+            ],
+        )
+
+        produced = {
+            "a72_corun": {
+                name: run_digest(item)
+                for name, item in zip(corun, corun_items)
+            },
+            "a53_mixed_pair": [run_digest(i) for i in pair_items],
+            "a72_nondeterministic_seed7": {
+                "runs": [
+                    run_digest(i, with_rates=True) for i in nondet_items
+                ],
+                "memory_rng_state": memory_rng.bit_generator.state,
+            },
+        }
+        check_golden(
+            "mixed_nondet_runs", produced, update_golden, exact=True
         )

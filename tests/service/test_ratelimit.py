@@ -70,3 +70,24 @@ class TestTenantRateLimiter:
         assert limiter.try_acquire("alice") == 0.0
         assert limiter.try_acquire("alice") > 0.0  # alice exhausted
         assert limiter.try_acquire("bob") == 0.0  # bob unaffected
+
+    def test_buckets_bounded_under_tenant_churn(self):
+        """Many one-shot tenants come and go while a survivor keeps
+        hitting its limit: refilled buckets are forgotten, so the dict
+        stays bounded, and the survivor's retry-after is what a
+        churn-free limiter reports."""
+        clock = FakeClock()
+        limiter = TenantRateLimiter(1.0, burst=2.0, clock=clock)
+        quiet = TenantRateLimiter(1.0, burst=2.0, clock=clock)
+        throttled = 0
+        for i in range(200):
+            assert limiter.try_acquire(f"tenant-{i}") == 0.0
+            # the survivor plus the tenants of the last refill window
+            # (1 token at 1/s, one new tenant every 0.25 s)
+            assert len(limiter._buckets) <= 5
+            retry = limiter.try_acquire("survivor")
+            assert retry == quiet.try_acquire("survivor")
+            throttled += retry > 0.0
+            clock.advance(0.25)
+        assert throttled > 100
+        assert "survivor" in limiter._buckets
