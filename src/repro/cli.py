@@ -35,7 +35,7 @@ from repro.core.characterizer import EMCharacterizer
 from repro.core.resonance import ResonanceSweep
 from repro.core.virusgen import VirusGenerator
 from repro.faults.retry import RetryPolicy
-from repro.ga.engine import GAConfig
+from repro.ga.engine import GAConfig, check_checkpoint_every
 from repro.ga.topology import TOPOLOGIES
 from repro.instruments.spectrum_analyzer import (
     SpectrumAnalyzer,
@@ -211,27 +211,42 @@ def cmd_virus(args) -> int:
     )
 
     cluster = resolve_cluster(args.platform)
-    config = GAConfig(
-        population_size=args.population,
-        generations=args.generations,
-        loop_length=args.loop_length,
-        mutation_rate=args.mutation_rate,
-        seed=args.seed,
-        workers=args.workers,
-    )
-    island_config = None
-    if args.islands > 1:
-        from repro.ga.islands import IslandConfig
-
-        island_config = IslandConfig(
-            islands=args.islands,
-            topology=args.topology,
-            migration_interval=(
-                None
-                if args.migration_interval == 0
-                else args.migration_interval
-            ),
+    # Bad GA flags fail here, before the event log or manifest exists;
+    # the bounds live in the config classes that raise.
+    try:
+        config = GAConfig(
+            population_size=args.population,
+            generations=args.generations,
+            loop_length=args.loop_length,
+            mutation_rate=args.mutation_rate,
+            seed=args.seed,
+            workers=args.workers,
         )
+        island_config = None
+        if args.islands != 1:
+            from repro.ga.islands import (
+                IslandConfig,
+                island_population_sizes,
+            )
+
+            island_config = IslandConfig(
+                islands=args.islands,
+                topology=args.topology,
+                migration_interval=(
+                    None
+                    if args.migration_interval == 0
+                    else args.migration_interval
+                ),
+            )
+            island_population_sizes(args.population, args.islands)
+        retry_policy = RetryPolicy(
+            max_retries=args.max_retries,
+            base_delay_s=0.05,
+            seed=args.seed,
+        )
+        check_checkpoint_every(args.checkpoint_every)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     out_dir = Path(args.out) if args.out else None
     log, log_name = _open_event_log(args)
     manifest = RunManifest.create(
@@ -261,11 +276,6 @@ def cmd_virus(args) -> int:
         except (OSError, ValueError) as exc:
             return _usage_error(f"bad fault plan: {exc}")
         manifest.extra["fault_plan"] = str(args.fault_plan)
-    retry_policy = RetryPolicy(
-        max_retries=args.max_retries,
-        base_delay_s=0.05,
-        seed=args.seed,
-    )
     manifest.extra["max_retries"] = args.max_retries
     resume = None
     if args.resume:
@@ -417,13 +427,16 @@ def cmd_report(args) -> int:
     from repro.analysis.report import characterize
 
     cluster = resolve_cluster(args.platform)
-    config = GAConfig(
-        population_size=args.population,
-        generations=args.generations,
-        loop_length=50,
-        seed=args.seed,
-        workers=args.workers,
-    )
+    try:
+        config = GAConfig(
+            population_size=args.population,
+            generations=args.generations,
+            loop_length=50,
+            seed=args.seed,
+            workers=args.workers,
+        )
+    except ValueError as exc:
+        return _usage_error(str(exc))
     log, log_name = _open_event_log(args)
     from dataclasses import asdict
 

@@ -10,8 +10,8 @@ the persistent warm-cache pool in :mod:`repro.ga.workers`) is:
    :class:`~repro.ga.workers.PersistentWorkerPool` -- long-lived
    workers that received the fitness spec once at pool start, warmed
    their :class:`~repro.chain.session.SimulationSession` once, and
-   keep those caches hot across generations; shards travel as compact
-   ndarray payloads (:mod:`repro.ga.shm`), and
+   keep those caches hot across generations; shards and their
+   evaluations travel as plain pickles through the pool's queues, and
 3. per-shard results are reassembled strictly in submission order.
 
 Ordering is deterministic: results are keyed by shard index and each
@@ -24,11 +24,10 @@ are only reproducible serially -- leave ``workers=1`` for those.
 
 Fitness callables must be picklable to cross the process boundary
 (plain functions, dataclass instances such as
-:class:`repro.ga.fitness.ClusterFitness` -- not closures).  An
-unpicklable fitness degrades gracefully to serial evaluation; the
-probe's verdict is memoized per fitness *object* (identity, weakly
-referenced) so constructing evaluators repeatedly does not re-pickle
-large fitness state just to re-learn the same answer.
+:class:`repro.ga.fitness.ClusterFitness` -- not closures).  The
+constructor pickles the fitness spec once: an unpicklable fitness
+degrades gracefully to serial evaluation, and otherwise those bytes
+are the payload every pool worker starts from.
 
 Resilience (see :mod:`repro.faults`): with a
 :class:`~repro.faults.RetryPolicy` attached, transient faults raised
@@ -50,7 +49,6 @@ keeps advancing instead of dying with the instrument.
 from __future__ import annotations
 
 import pickle
-import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cpu.program import LoopProgram
@@ -75,14 +73,6 @@ PENALTY_SCORE = 0.0
 #: which the evaluator stops re-dispatching and finishes serially.
 DEFAULT_MAX_POOL_RESTARTS = 3
 
-#: Picklability-probe verdicts per fitness object: ``(weakref, bool)``
-#: pairs compared by identity.  A list rather than a
-#: ``WeakKeyDictionary`` because fitness objects are often eq-compared
-#: unhashable dataclasses.  Only the *verdict* is cached -- payload
-#: bytes are always pickled fresh at pool start so workers see current
-#: fitness state, never a stale snapshot.
-_PROBE_CACHE: List[Tuple["weakref.ref", bool]] = []
-
 
 def penalty_evaluation() -> FitnessEvaluation:
     """The placeholder evaluation a quarantined genome receives."""
@@ -94,29 +84,6 @@ def penalty_evaluation() -> FitnessEvaluation:
         ipc=0.0,
         loop_frequency_hz=0.0,
     )
-
-
-def _cached_probe(fitness: Callable) -> Optional[bool]:
-    """Look up a memoized picklability verdict (and purge dead refs)."""
-    verdict = None
-    alive = []
-    for ref, ok in _PROBE_CACHE:
-        obj = ref()
-        if obj is None:
-            continue
-        alive.append((ref, ok))
-        if obj is fitness:
-            verdict = ok
-    _PROBE_CACHE[:] = alive
-    return verdict
-
-
-def _remember_probe(fitness: Callable, verdict: bool) -> None:
-    try:
-        ref = weakref.ref(fitness)
-    except TypeError:
-        return  # not weak-referenceable; skip caching
-    _PROBE_CACHE.append((ref, verdict))
 
 
 def shard(
@@ -162,9 +129,6 @@ class ParallelEvaluator:
         ``genome_quarantined`` events.
     max_pool_restarts:
         Crash events tolerated before degrading to serial execution.
-    use_shm:
-        Force shared-memory payload transport on/off; ``None`` follows
-        the ``REPRO_GA_SHM`` environment variable (default on).
     """
 
     def __init__(
@@ -175,7 +139,6 @@ class ParallelEvaluator:
         fault_injector: Optional[FaultInjector] = None,
         event_log: EventLog = NULL_LOG,
         max_pool_restarts: int = DEFAULT_MAX_POOL_RESTARTS,
-        use_shm: Optional[bool] = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -189,7 +152,6 @@ class ParallelEvaluator:
         )
         self._log = event_log
         self._max_pool_restarts = max_pool_restarts
-        self._use_shm = use_shm
         self._pool: Optional[PersistentWorkerPool] = None
         self._payload: Optional[bytes] = None
         self._picklable = False
@@ -206,23 +168,17 @@ class ParallelEvaluator:
     def _probe_picklability(self) -> bool:
         """Whether the fitness spec can cross the process boundary.
 
-        Memoized per fitness object; a cache hit skips pickling
-        entirely (the payload is then built lazily at pool start).
-        Only pickling failures mean "fall back to serial"; anything
-        else (KeyboardInterrupt, injected FaultErrors, AuditViolations)
+        The probe's bytes become the pool payload.  Only pickling
+        failures mean "fall back to serial"; anything else
+        (KeyboardInterrupt, injected FaultErrors, AuditViolations)
         must propagate with its traceback.
         """
-        cached = _cached_probe(self._fitness)
-        if cached is not None:
-            return cached
         try:
             self._payload = pickle.dumps(
                 (self._fitness, self._injector, self._policy)
             )
         except (pickle.PicklingError, TypeError, AttributeError):
-            _remember_probe(self._fitness, False)
             return False
-        _remember_probe(self._fitness, True)
         return True
 
     @property
@@ -316,18 +272,10 @@ class ParallelEvaluator:
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> PersistentWorkerPool:
         if self._pool is None:
-            if self._payload is None:
-                # Probe verdict was cached, so nothing was pickled in
-                # the constructor; build the payload now (and only
-                # now -- workers must see current fitness state).
-                self._payload = pickle.dumps(
-                    (self._fitness, self._injector, self._policy)
-                )
+            # The constructor's probe bytes: the fitness spec as it was
+            # when this evaluator was built.
             self._pool = PersistentWorkerPool(
-                self._payload,
-                self.workers,
-                event_log=self._log,
-                use_shm=self._use_shm,
+                self._payload, self.workers, event_log=self._log
             )
             self._pool.start()
         return self._pool

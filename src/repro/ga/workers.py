@@ -3,9 +3,8 @@
 The original dispatch model paid per-shard costs that dwarfed the
 fitness work itself: every generation re-entered a
 ``ProcessPoolExecutor`` whose workers idled between generations with
-no guarantee of cache reuse, and every payload round-tripped whole
-object graphs through pickle.  This module replaces it with a
-*persistent worker pool*:
+no guarantee of cache reuse, and every shard re-shipped the whole
+fitness.  This module replaces it with a *persistent worker pool*:
 
 * Worker processes are spawned **once per campaign**.  Each receives
   the pickled fitness spec (fitness callable, fault injector, retry
@@ -16,9 +15,10 @@ object graphs through pickle.  This module replaces it with a
   generations: PDN transfer-function grids, clock-independent
   schedules, radiator tilts and analyzer line gains are computed once
   per worker instead of once per dispatch.
-* Genome batches travel to workers and evaluation matrices travel back
-  as compact ndarray payloads (:mod:`repro.ga.shm`), through shared
-  memory when large and inline otherwise.
+* Programs travel to workers and evaluations travel back as plain
+  pickles through the per-worker task queue and the shared result
+  queue; an evaluation comes back as exactly the object the fitness
+  returned.
 * Results are reassembled strictly by submission order (task keys map
   back to shard indices), so a pure fitness keeps the
   ``workers=N == workers=1`` bit-identity contract.
@@ -36,8 +36,7 @@ engine can fold per-worker cache-hit rates into ``generation_end``.
 The protocol is deliberately explicit (per-worker task queues, one
 shared result queue) rather than executor-shaped: the parent always
 knows which worker holds which shard, which is what makes crash
-attribution, deterministic re-dispatch and deferred shared-memory
-cleanup simple to reason about.
+attribution and deterministic re-dispatch simple to reason about.
 """
 
 from __future__ import annotations
@@ -53,17 +52,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.faults.errors import StageTimeout
 from repro.faults.plan import FaultInjector
 from repro.faults.retry import RetryPolicy, call_with_retry
-from repro.ga.shm import (
-    DEFAULT_SHM_MIN_BYTES,
-    ProgramDecoder,
-    ProgramEncoder,
-    decode_evaluations,
-    encode_evaluations,
-    pack_arrays,
-    release_block,
-    shm_enabled_by_env,
-    unpack_arrays,
-)
 from repro.obs.events import NULL_LOG, EventLog
 
 #: Receive-loop poll granularity; also bounds crash-detection latency.
@@ -139,73 +127,39 @@ def _run_shard(
 
 
 def _worker_main(
-    worker_id: int,
-    task_q,
-    result_q,
-    payload: bytes,
-    use_shm: bool,
-    shm_min_bytes: int,
+    worker_id: int, task_q, result_q, payload: bytes
 ) -> None:
-    """Long-lived worker loop: warm up once, then serve shards.
-
-    A result's shared-memory block is released only when the *next*
-    parent message arrives (the parent never sends one before it has
-    copied the previous result out), so blocks are always unlinked by
-    their creator and never before the consumer attached.
-    """
+    """Long-lived worker loop: warm up once, then serve shards."""
     fitness, injector, policy = pickle.loads(payload)
-    decoder = ProgramDecoder()
-    pending_block = None
+    t0 = time.perf_counter()
+    warm = getattr(fitness, "warm_up", None)
     try:
-        t0 = time.perf_counter()
-        warm = getattr(fitness, "warm_up", None)
+        warm_stats = warm() if warm is not None else None
+    # Warm-up failures (whatever they are) must surface in the
+    # parent with their original type, not hang the pool start.
+    except BaseException as exc:  # audit: ignore[R6]
+        result_q.put(("raised", worker_id, None, _dump_exception(exc)))
+        return
+    result_q.put(
+        ("ready", worker_id, round(time.perf_counter() - t0, 6), warm_stats)
+    )
+    while True:
+        message = task_q.get()
+        if message[0] == "stop":
+            return
+        _, task_key, programs = message
         try:
-            warm_stats = warm() if warm is not None else None
-        # Warm-up failures (whatever they are) must surface in the
-        # parent with their original type, not hang the pool start.
+            evaluations = _run_shard(fitness, injector, policy, programs)
+        # Transport every failure (fault, crash, bug) to the
+        # parent, which re-raises or handles it by type.
         except BaseException as exc:  # audit: ignore[R6]
             result_q.put(
-                ("raised", worker_id, None, _dump_exception(exc))
+                ("raised", worker_id, task_key, _dump_exception(exc))
             )
-            return
-        result_q.put(
-            (
-                "ready",
-                worker_id,
-                round(time.perf_counter() - t0, 6),
-                warm_stats,
-            )
-        )
-        while True:
-            message = task_q.get()
-            release_block(pending_block)
-            pending_block = None
-            if message[0] == "stop":
-                return
-            _, task_key, header, bundle = message
-            try:
-                programs = decoder.decode(header, unpack_arrays(bundle))
-                evaluations = _run_shard(
-                    fitness, injector, policy, programs
-                )
-            # Transport every failure (fault, crash, bug) to the
-            # parent, which re-raises or handles it by type.
-            except BaseException as exc:  # audit: ignore[R6]
-                result_q.put(
-                    ("raised", worker_id, task_key, _dump_exception(exc))
-                )
-                continue
-            stats_hook = getattr(fitness, "session_stats", None)
-            stats = stats_hook() if stats_hook is not None else None
-            r_header, r_arrays = encode_evaluations(evaluations)
-            r_bundle, pending_block = pack_arrays(
-                r_arrays, use_shm, shm_min_bytes
-            )
-            result_q.put(
-                ("ok", worker_id, task_key, r_header, r_bundle, stats)
-            )
-    finally:
-        release_block(pending_block)
+            continue
+        stats_hook = getattr(fitness, "session_stats", None)
+        stats = stats_hook() if stats_hook is not None else None
+        result_q.put(("ok", worker_id, task_key, evaluations, stats))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +193,6 @@ class _WorkerHandle:
     shard_index: Optional[int] = None
     deadline: Optional[float] = None
     timeout_s: Optional[float] = None
-    task_block: Optional[object] = None
 
     @property
     def alive(self) -> bool:
@@ -258,11 +211,6 @@ class PersistentWorkerPool:
         Pool size (>= 1).
     event_log:
         Destination for ``worker_warmup`` events.
-    use_shm:
-        Force shared-memory payloads on/off; ``None`` follows the
-        ``REPRO_GA_SHM`` environment variable (default on).
-    shm_min_bytes:
-        Payloads below this size always travel inline.
     start_timeout_s:
         Budget for each worker's warm-up before the pool start fails.
     """
@@ -272,8 +220,6 @@ class PersistentWorkerPool:
         payload: bytes,
         workers: int,
         event_log: EventLog = NULL_LOG,
-        use_shm: Optional[bool] = None,
-        shm_min_bytes: int = DEFAULT_SHM_MIN_BYTES,
         start_timeout_s: float = DEFAULT_START_TIMEOUT_S,
         mp_context=None,
     ):
@@ -282,10 +228,6 @@ class PersistentWorkerPool:
         self._payload = payload
         self.workers = workers
         self._log = event_log
-        self.use_shm = (
-            shm_enabled_by_env() if use_shm is None else use_shm
-        )
-        self._shm_min_bytes = shm_min_bytes
         self._start_timeout_s = start_timeout_s
         self._ctx = (
             mp_context
@@ -294,7 +236,6 @@ class PersistentWorkerPool:
         )
         self._result_q = None
         self._handles: List[_WorkerHandle] = []
-        self._encoder = ProgramEncoder()
         self._task_seq = 0
         self._closed = False
         #: Workers respawned after a crash/timeout (warm-up replays).
@@ -335,14 +276,7 @@ class PersistentWorkerPool:
         task_q = self._ctx.Queue()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(
-                worker_id,
-                task_q,
-                self._result_q,
-                self._payload,
-                self.use_shm,
-                self._shm_min_bytes,
-            ),
+            args=(worker_id, task_q, self._result_q, self._payload),
             name=f"repro-ga-worker-{worker_id}",
             daemon=True,
         )
@@ -358,8 +292,6 @@ class PersistentWorkerPool:
 
     def _mark_dead(self, handle: _WorkerHandle) -> None:
         handle.state = "dead"
-        release_block(handle.task_block)
-        handle.task_block = None
         if handle.process.is_alive():
             handle.process.terminate()
             handle.process.join(timeout=1.0)
@@ -476,21 +408,16 @@ class PersistentWorkerPool:
             index = remaining.pop(0)
             self._task_seq += 1
             task_key = self._task_seq
-            header, arrays = self._encoder.encode(shards[index])
-            bundle, block = pack_arrays(
-                arrays, self.use_shm, self._shm_min_bytes
-            )
             handle.state = "busy"
             handle.task_key = task_key
             handle.shard_index = index
-            handle.task_block = block
             handle.deadline = (
                 time.monotonic() + timeout_s
                 if timeout_s is not None
                 else None
             )
             handle.timeout_s = timeout_s
-            handle.task_q.put(("shard", task_key, header, bundle))
+            handle.task_q.put(("shard", task_key, list(shards[index])))
             assigned[task_key] = handle
         return remaining
 
@@ -545,18 +472,13 @@ class PersistentWorkerPool:
         if handle is None:
             return  # stale message from a worker we already recycled
         del assigned[task_key]
-        release_block(handle.task_block)
-        handle.task_block = None
         index = handle.shard_index
         handle.state = "idle"
         handle.task_key = None
         handle.shard_index = None
         handle.deadline = None
         if kind == "ok":
-            _, _, _, r_header, r_bundle, stats = message
-            results = decode_evaluations(
-                r_header, unpack_arrays(r_bundle)
-            )
+            _, _, _, results, stats = message
             if stats is not None:
                 self.worker_stats[worker_id] = stats
             outcomes[index] = ShardOutcome(

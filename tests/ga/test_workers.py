@@ -4,13 +4,16 @@ The contract pinned here is that moving dispatch onto long-lived
 warm-cache worker processes (``repro.ga.workers``) changes *nothing*
 observable but wall-clock: ``workers=4`` histories stay byte-identical
 to ``workers=1`` across multi-generation runs, through mid-run
-checkpoint/resume, under injected worker crashes with respawn, and
-with the shared-memory transport disabled (inline pickle fallback).
+checkpoint/resume and under injected worker crashes with respawn.
+Programs and evaluations cross the process boundary as plain pickles,
+so a shard's programs arrive intact and an evaluation comes back as
+exactly the object the fitness returned.
 """
 
 import json
 import multiprocessing
 import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -24,18 +27,10 @@ from repro.faults import (
     FaultSpec,
     RetryPolicy,
 )
+from repro.faults.plan import NULL_INJECTOR
 from repro.ga.engine import GAConfig, GAEngine
 from repro.ga.fitness import FitnessEvaluation
 from repro.ga.parallel import ParallelEvaluator
-from repro.ga.shm import (
-    ProgramDecoder,
-    ProgramEncoder,
-    decode_evaluations,
-    encode_evaluations,
-    pack_arrays,
-    release_block,
-    unpack_arrays,
-)
 from repro.ga.workers import PersistentWorkerPool
 from repro.io.serialization import load_checkpoint
 from repro.obs.events import EventLog, MemorySink
@@ -90,62 +85,49 @@ def _assert_byte_identical(a, b):
     assert a.evaluations == b.evaluations
 
 
+class EchoFitness:
+    """Returns what the worker received: each program's name and
+    genome, not a :class:`FitnessEvaluation`."""
+
+    def __call__(self, program):
+        return program.name, program.genome()
+
+
+class IntScoreFitness:
+    """Scores each program by its body length as a plain ``int``."""
+
+    def __call__(self, program):
+        evaluation = _evaluation(0.0)
+        evaluation.score = len(program.body)
+        return evaluation
+
+
+def _dispatch_once(fitness, shards):
+    payload = pickle.dumps((fitness, NULL_INJECTOR, None))
+    with PersistentWorkerPool(payload, workers=2) as pool:
+        outcomes = pool.dispatch(shards)
+    assert all(o.kind == "ok" for o in outcomes.values())
+    return [e for i in sorted(outcomes) for e in outcomes[i].results]
+
+
 # ---------------------------------------------------------------------------
-# ndarray transport (repro.ga.shm)
+# plain-pickle transport through a real pool
 # ---------------------------------------------------------------------------
-class TestTransportCodecs:
-    def test_program_codec_roundtrips_genomes(self):
+class TestPickleTransport:
+    def test_programs_reach_worker_with_genome_and_name(self):
         programs = _programs(count=5, length=17)
-        header, arrays = ProgramEncoder().encode(programs)
-        assert header["kind"] == "arrays"
-        decoded = ProgramDecoder().decode(header, arrays)
-        assert [p.genome() for p in decoded] == [
-            p.genome() for p in programs
-        ]
-        assert [p.name for p in decoded] == [p.name for p in programs]
+        got = _dispatch_once(
+            EchoFitness(), {0: programs[:3], 1: programs[3:]}
+        )
+        assert got == [(p.name, p.genome()) for p in programs]
 
-    def test_program_encoder_pickles_each_isa_once(self):
-        encoder = ProgramEncoder()
-        encoder.encode(_programs(count=3))
-        header, _ = encoder.encode(_programs(count=4, seed=8))
-        assert set(header["isa_tokens"]) == {0}
-
-    def test_eval_codec_is_bit_identical(self):
-        evals = [_evaluation(0.1 + i * 1e-9) for i in range(7)]
-        header, arrays = encode_evaluations(evals)
-        assert header["kind"] == "arrays"
-        assert decode_evaluations(header, arrays) == evals
-
-    def test_eval_codec_falls_back_for_exotic_results(self):
-        # An int score must survive with its type, not become float64.
-        exotic = _evaluation(1.0)
-        exotic.score = 3
-        header, arrays = encode_evaluations([exotic])
-        assert header["kind"] == "pickle"
-        (back,) = decode_evaluations(header, arrays)
-        assert back.score == 3 and type(back.score) is int
-
-    def test_shm_roundtrip_and_release(self):
-        arrays = [
-            np.arange(2048, dtype=np.int64).reshape(64, 32),
-            np.linspace(0.0, 1.0, 900),
-        ]
-        bundle, owner = pack_arrays(arrays, use_shm=True, min_bytes=0)
-        assert bundle.via == "shm" and owner is not None
-        back = unpack_arrays(bundle)
-        release_block(owner)
-        for sent, got in zip(arrays, back):
-            np.testing.assert_array_equal(sent, got)
-            assert got.dtype == sent.dtype
-
-    def test_small_or_disabled_payloads_go_inline(self):
-        arrays = [np.arange(4)]
-        for use_shm in (True, False):
-            bundle, owner = pack_arrays(arrays, use_shm=use_shm)
-            assert bundle.via == "inline" and owner is None
-            np.testing.assert_array_equal(
-                unpack_arrays(bundle)[0], arrays[0]
-            )
+    def test_int_score_comes_back_as_int(self):
+        programs = _programs(count=4)
+        got = _dispatch_once(
+            IntScoreFitness(), {0: programs[:2], 1: programs[2:]}
+        )
+        assert [e.score for e in got] == [len(p.body) for p in programs]
+        assert all(type(e.score) is int for e in got)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +135,6 @@ class TestTransportCodecs:
 # ---------------------------------------------------------------------------
 class TestPersistentPool:
     def test_dispatch_matches_serial_and_emits_warmup(self):
-        import pickle
-
-        from repro.faults.plan import NULL_INJECTOR
-
         programs = _programs(count=8)
         fitness = PureFitness()
         expected = [fitness(p).score for p in programs]
@@ -185,10 +163,6 @@ class TestPersistentPool:
             assert w["pid"]
 
     def test_pool_survives_many_generations_of_dispatch(self):
-        import pickle
-
-        from repro.faults.plan import NULL_INJECTOR
-
         fitness = PureFitness()
         payload = pickle.dumps((PureFitness(), NULL_INJECTOR, None))
         with PersistentWorkerPool(payload, workers=2) as pool:
@@ -297,27 +271,6 @@ class TestDeterminism:
             ARM_ISA, resume=load_checkpoint(ckpt)
         )
         _assert_byte_identical(serial, resumed)
-
-    def test_shm_disabled_fallback_matches_workers_1(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GA_SHM", "0")
-        serial = GAEngine(PureFitness(), CONFIG).run(ARM_ISA)
-        parallel = GAEngine(
-            PureFitness(), replace(CONFIG, workers=4)
-        ).run(ARM_ISA)
-        _assert_byte_identical(serial, parallel)
-
-    def test_explicit_use_shm_flag_matches_serial(self):
-        programs = _programs(count=8)
-        fitness = PureFitness()
-        expected = [fitness(p).score for p in programs]
-        for use_shm in (True, False):
-            with ParallelEvaluator(
-                PureFitness(), workers=2, use_shm=use_shm
-            ) as evaluator:
-                got = [
-                    e.score for e in evaluator.evaluate(programs)
-                ]
-            assert got == expected
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ survive FMA-contraction differences across platforms).  The V_MIN
 golden is compared exactly: its outcomes are discrete and its voltages
 sit on the 10 mV grid, so any drift in the rail waveform shows up as a
 changed outcome log.  The co-run / cache-miss golden is exact too: it
-holds sha256 digests of the rail waveforms.
+holds sha256 digests of the rail waveforms.  The ``--workers 2`` virus
+golden is the CLI's summary file itself, compared byte for byte.
 
 To refresh after an *intentional* physics/model change::
 
@@ -19,12 +20,14 @@ change -- an unexplained delta is a regression, not noise.
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.chain import ChainItem, ChainRequest, SignalPath
+from repro.cli import main
 from repro.core.characterizer import EMCharacterizer
 from repro.core.resonance import ResonanceSweep
 from repro.cpu.cache import CacheModel
@@ -174,6 +177,30 @@ class TestGAGolden:
             "best_generation": result.best.generation,
         }
         check_golden("a53_ga_history", produced, update_golden)
+
+
+class TestWorkersVirusGolden:
+    def test_a53_virus_workers2_summary(
+        self, tmp_path, capsys, update_golden
+    ):
+        """The real EM fitness through two worker processes: programs
+        go out and evaluations come back across the process boundary,
+        and the archived summary must match byte for byte.  (A
+        ``--workers 2`` EM run reproduces itself, not the serial run:
+        each worker advances its own analyzer RNG.)"""
+        argv = [
+            "virus", "--platform", "a53", "--population", "10",
+            "--generations", "3", "--loop-length", "10",
+            "--workers", "2", "--seed", "0", "--out", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        produced = tmp_path / "cortex-a53-em-amplitude.summary.json"
+        golden = GOLDEN_DIR / "a53_virus_workers2.summary.json"
+        if update_golden:
+            shutil.copyfile(produced, golden)
+            pytest.skip(f"golden file {golden.name} regenerated")
+        assert produced.read_bytes() == golden.read_bytes()
 
 
 class TestIslandGolden:

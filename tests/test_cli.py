@@ -139,6 +139,37 @@ class TestCommands:
         assert line.startswith(f"error: {flag} ")
 
     @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("virus", ["--workers", "0"]),
+            ("virus", ["--population", "1"]),
+            ("virus", ["--generations", "0"]),
+            ("virus", ["--loop-length", "0"]),
+            ("virus", ["--mutation-rate", "1.5"]),
+            ("virus", ["--max-retries", "-1"]),
+            ("virus", ["--checkpoint-every", "0"]),
+            ("virus", ["--islands", "0"]),
+            ("virus", ["--islands", "-1"]),
+            ("virus", ["--islands", "2", "--migration-interval", "-3"]),
+            ("virus", ["--islands", "30", "--population", "10"]),
+            ("report", ["--workers", "0"]),
+            ("report", ["--population", "1"]),
+            ("report", ["--generations", "0"]),
+        ],
+    )
+    def test_bad_ga_flag_fails_before_any_artifact(
+        self, capsys, tmp_path, command, flags
+    ):
+        out = tmp_path / "out"
+        argv = [command, "--platform", "a53", "--out", str(out)] + flags
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "make",
         [lambda d: d / "nope.meta.json", lambda d: d],
         ids=["missing", "directory"],
