@@ -259,13 +259,19 @@ class PDNStage:
 
     def run(self, batch: ChainBatch) -> None:
         cluster = batch.cluster
-        for w in batch.work:
+        grids = [
+            (w.result.powered_cores, w.load_current.size, w.result.clock_hz)
+            for w in batch.work
+        ]
+        transfers = batch.session.transfer_grids(cluster, grids)
+        for w, transfer in zip(batch.work, transfers):
             w.result.response = batch.session.pdn_solve(
                 cluster,
                 powered_cores=w.result.powered_cores,
                 voltage=w.result.voltage,
                 load_current=w.load_current,
                 sample_rate_hz=w.result.clock_hz,
+                transfer=transfer,
             )
 
 

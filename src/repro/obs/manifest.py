@@ -10,6 +10,7 @@ report from provenance alone, without re-running the experiment.
 
 from __future__ import annotations
 
+import functools
 import json
 import subprocess
 import time
@@ -22,11 +23,21 @@ MANIFEST_FILENAME = "run_manifest.json"
 
 
 def git_describe(cwd: Optional[Union[str, Path]] = None) -> Optional[str]:
-    """``git describe --always --dirty`` of the working tree, if any."""
+    """``git describe --always --dirty`` of the working tree, if any.
+
+    Memoized per process and resolved directory: a process runs the
+    code it imported, so the first answer is the provenance of every
+    later run in it.
+    """
+    return _git_describe(Path(cwd if cwd is not None else ".").resolve())
+
+
+@functools.lru_cache(maxsize=32)
+def _git_describe(cwd: Path) -> Optional[str]:
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            cwd=str(cwd) if cwd is not None else None,
+            cwd=str(cwd),
             capture_output=True,
             text=True,
             timeout=5,

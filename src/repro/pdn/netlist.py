@@ -13,7 +13,7 @@ solvers so that results can be cross-referenced by element name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -167,47 +167,51 @@ class Circuit:
         branch_index = {n: i for i, n in enumerate(branch_names)}
         return MNALayout(node_index=node_index, branch_index=branch_index)
 
-    def ac_matrix(self, omega: float, layout: MNALayout) -> np.ndarray:
-        """Complex MNA matrix at angular frequency ``omega`` (rad/s)."""
-        n = layout.size
-        a = np.zeros((n, n), dtype=complex)
+    def ac_matrix(
+        self, omega: Union[float, np.ndarray], layout: MNALayout
+    ) -> np.ndarray:
+        """Complex MNA matrix at angular frequency ``omega`` (rad/s).
 
-        def stamp_admittance(na: str, nb: str, y: complex) -> None:
+        A scalar ``omega`` gives one ``(n, n)`` matrix; a 1-D vector of
+        F angular frequencies gives the ``(F, n, n)`` stack.  Each
+        element is stamped across the whole vector at once, in element
+        order, so every slice is bit-identical to the scalar build.
+        """
+        omega = np.asarray(omega, dtype=float)
+        omegas = omega.reshape(-1)
+        n = layout.size
+        a = np.zeros((omegas.size, n, n), dtype=complex)
+
+        def stamp_admittance(na: str, nb: str, y) -> None:
             ia, ib = layout.node(na), layout.node(nb)
             if ia >= 0:
-                a[ia, ia] += y
+                a[:, ia, ia] += y
             if ib >= 0:
-                a[ib, ib] += y
+                a[:, ib, ib] += y
             if ia >= 0 and ib >= 0:
-                a[ia, ib] -= y
-                a[ib, ia] -= y
+                a[:, ia, ib] -= y
+                a[:, ib, ia] -= y
 
         for e in self._elements:
             if isinstance(e, Resistor):
                 stamp_admittance(e.node_a, e.node_b, 1.0 / e.resistance)
             elif isinstance(e, Capacitor):
-                stamp_admittance(e.node_a, e.node_b, 1j * omega * e.capacitance)
-            elif isinstance(e, Inductor):
+                stamp_admittance(
+                    e.node_a, e.node_b, 1j * omegas * e.capacitance
+                )
+            elif isinstance(e, (Inductor, VoltageSource)):
                 k = layout.branch(e.name)
                 ia, ib = layout.node(e.node_a), layout.node(e.node_b)
                 if ia >= 0:
-                    a[ia, k] += 1.0
-                    a[k, ia] += 1.0
+                    a[:, ia, k] += 1.0
+                    a[:, k, ia] += 1.0
                 if ib >= 0:
-                    a[ib, k] -= 1.0
-                    a[k, ib] -= 1.0
-                a[k, k] -= 1j * omega * e.inductance
-            elif isinstance(e, VoltageSource):
-                k = layout.branch(e.name)
-                ia, ib = layout.node(e.node_a), layout.node(e.node_b)
-                if ia >= 0:
-                    a[ia, k] += 1.0
-                    a[k, ia] += 1.0
-                if ib >= 0:
-                    a[ib, k] -= 1.0
-                    a[k, ib] -= 1.0
+                    a[:, ib, k] -= 1.0
+                    a[:, k, ib] -= 1.0
+                if isinstance(e, Inductor):
+                    a[:, k, k] -= 1j * omegas * e.inductance
             # CurrentSource stamps only the RHS.
-        return a
+        return a if omega.ndim else a[0]
 
     def ac_rhs(
         self,

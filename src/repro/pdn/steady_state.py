@@ -15,7 +15,7 @@ candidate loops must be scored.  Transfer functions are cached per
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,9 +117,9 @@ class SteadyStateSolver:
         self._tf_cache: Dict[
             Tuple[int, float], Tuple[np.ndarray, np.ndarray]
         ] = {}
-        #: Number of fresh AC analyses this solver has performed.  The
-        #: chain layer's cache-hit assertions ("at most one analysis per
-        #: distinct cluster state") read this counter.
+        #: Number of transfer-function grids this solver has computed
+        #: for its cache.  The chain layer's cache-hit assertions ("at
+        #: most one grid per distinct cluster state") read this counter.
         self.tf_analyses = 0
 
     @property
@@ -130,32 +130,62 @@ class SteadyStateSolver:
         self, n_samples: int, sample_rate_hz: float
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(Z(f_k), H_I(f_k)) on the rfft harmonic grid, cached."""
-        key = (n_samples, sample_rate_hz)
-        cached = self._tf_cache.get(key)
-        if cached is not None:
-            return cached
-        self.tf_analyses += 1
-        freqs = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate_hz)
-        # Skip DC here; the IR drop is handled separately via Z(0+).
-        analysis = analyze_ac(self._circuit, self._die_node, freqs[1:])
-        z = np.concatenate(
-            [[0.0 + 0.0j], analysis.impedance(self._die_node)]
+        return self.transfer_function_grids([(n_samples, sample_rate_hz)])[0]
+
+    def transfer_function_grids(
+        self, grids: Sequence[Tuple[int, float]]
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """:meth:`transfer_functions` for each ``(n_samples, sample_rate_hz)``.
+
+        Every grid missing from the solver's cache is computed by one
+        shared :meth:`compute_transfer_functions` call.
+        """
+        missing = [g for g in dict.fromkeys(grids) if g not in self._tf_cache]
+        if missing:
+            self.tf_analyses += len(missing)
+            self._tf_cache.update(
+                zip(missing, self.compute_transfer_functions(missing))
+            )
+        return [self._tf_cache[g] for g in grids]
+
+    def compute_transfer_functions(
+        self, grids: Sequence[Tuple[int, float]]
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Uncached (Z, H_I) per ``(n_samples, sample_rate_hz)`` grid.
+
+        One :func:`analyze_ac` call covers every grid's harmonics plus
+        one shared 1 Hz point that supplies the DC transfer.
+        """
+        # Skip DC in each grid; the IR drop is handled via Z(0+).
+        harmonics = [
+            np.fft.rfftfreq(n, d=1.0 / fs)[1:] for n, fs in grids
+        ]
+        analysis = analyze_ac(
+            self._circuit,
+            self._die_node,
+            np.concatenate(harmonics + [np.array([1.0])]),
         )
-        h_i = np.concatenate(
-            [[0.0 + 0.0j], analysis.branch_currents[self._sense_branch]]
-        )
-        # DC transfer: resistive path for voltage, unity for current.
-        dc = analyze_ac(self._circuit, self._die_node, [1.0])
-        z[0] = np.real(dc.impedance(self._die_node)[0])
-        h_i[0] = np.real(dc.branch_currents[self._sense_branch][0])
-        # Orient the sense branch so die current follows load at DC
-        # (positive mean load -> positive mean die current), regardless
-        # of how the inductor's terminals were declared in the netlist.
-        if h_i[0] < 0.0:
-            h_i = -h_i
-            h_i[0] = abs(h_i[0])
-        self._tf_cache[key] = (z, h_i)
-        return z, h_i
+        z_all = analysis.impedance(self._die_node)
+        h_all = analysis.branch_currents[self._sense_branch]
+        out = []
+        start = 0
+        for freqs in harmonics:
+            stop = start + freqs.size
+            z = np.concatenate([[0.0 + 0.0j], z_all[start:stop]])
+            h_i = np.concatenate([[0.0 + 0.0j], h_all[start:stop]])
+            start = stop
+            # DC transfer: resistive path for voltage, unity for current.
+            z[0] = np.real(z_all[-1])
+            h_i[0] = np.real(h_all[-1])
+            # Orient the sense branch so die current follows load at DC
+            # (positive mean load -> positive mean die current),
+            # regardless of how the inductor's terminals were declared
+            # in the netlist.
+            if h_i[0] < 0.0:
+                h_i = -h_i
+                h_i[0] = abs(h_i[0])
+            out.append((z, h_i))
+        return out
 
     @timed_kernel("pdn.steady_state.solve")
     def solve(

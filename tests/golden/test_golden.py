@@ -121,6 +121,32 @@ class TestSweepGolden:
             "a53_sweep_curve", result.to_dict(), update_golden
         )
 
+    def test_sweep_every_platform_and_gating_state(
+        self, tmp_path, capsys, update_golden
+    ):
+        """``repro sweep --out`` over every platform and powered-core
+        count, compared exactly: each clock point is a fresh
+        transfer-function grid, so this pins the AC analysis of every
+        electrical state bit for bit."""
+        states = {"a72": (2, 1), "a53": (4, 3, 2, 1), "amd": (4, 3, 2, 1)}
+        produced = {}
+        for platform, counts in states.items():
+            for cores in counts:
+                out = tmp_path / f"{platform}-{cores}"
+                argv = [
+                    "sweep", "--platform", platform,
+                    "--cores", str(cores), "--out", str(out),
+                ]
+                assert main(argv) == 0
+                (sweep_file,) = out.glob("*-sweep.json")
+                produced.setdefault(platform, {})[str(cores)] = json.loads(
+                    sweep_file.read_text(encoding="utf-8")
+                )
+        capsys.readouterr()
+        check_golden(
+            "sweep_all_states", produced, update_golden, exact=True
+        )
+
 
 class TestCharacterizerGolden:
     def test_a72_amplitudes(self, a72, update_golden):

@@ -1,6 +1,7 @@
 """RunManifest provenance records."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -27,6 +28,25 @@ class TestCreate:
 
     def test_git_describe_outside_repo(self, tmp_path):
         assert git_describe(tmp_path) is None
+
+    def test_git_describe_is_memoized_per_directory(
+        self, tmp_path, monkeypatch
+    ):
+        first = git_describe()
+        outside = git_describe(tmp_path)
+        spawned = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            spawned.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        assert git_describe() == first
+        assert git_describe(".") == first
+        assert git_describe(tmp_path) is outside is None
+        assert RunManifest.create("sweep", "a53", 0).git == first
+        assert spawned == []
 
 
 class TestRoundTrip:
