@@ -261,12 +261,17 @@ class Cluster:
         solved on ``session``'s transfer-function grids."""
         if session is None:
             session = chain.SimulationSession()
+        load = np.asarray(load_current, dtype=float) * (
+            self._voltage / self.spec.nominal_voltage
+        )
+        (transfer,) = session.transfer_grids(
+            self, [(self._powered_cores, load.size, sample_rate_hz)]
+        )
         return session.pdn_solve(
             self,
             self._powered_cores,
             self._voltage,
-            np.asarray(load_current, dtype=float) * (
-                self._voltage / self.spec.nominal_voltage
-            ),
+            load,
             sample_rate_hz,
+            transfer=transfer,
         )
