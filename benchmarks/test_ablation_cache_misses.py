@@ -67,20 +67,21 @@ def test_ablation_cache_miss_jitter(benchmark, juno_board):
 
     def run_both():
         analyzer = SpectrumAnalyzer(rng=np.random.default_rng(101))
-        det_fitness = EMAmplitudeFitness(analyzer=analyzer, samples=8)
-        det = GAEngine(
-            lambda p: det_fitness(a72, p), CONFIG
-        ).run(ARM_ISA)
+        det_fitness = EMAmplitudeFitness(
+            cluster=a72, analyzer=analyzer, samples=8
+        )
+        det = GAEngine(det_fitness, CONFIG).run(ARM_ISA)
 
         noisy_fitness = EMAmplitudeFitness(
+            cluster=a72,
             analyzer=SpectrumAnalyzer(rng=np.random.default_rng(102)),
             samples=8,
             cache_model=CacheModel(l1_slots=64),
             memory_rng=np.random.default_rng(103),
         )
-        missy = GAEngine(
-            lambda p: noisy_fitness(a72, p), CONFIG, memoize=False
-        ).run(WIDE_MEM_ISA)
+        missy = GAEngine(noisy_fitness, CONFIG, memoize=False).run(
+            WIDE_MEM_ISA
+        )
         return det, missy
 
     det, missy = benchmark.pedantic(run_both, rounds=1, iterations=1)

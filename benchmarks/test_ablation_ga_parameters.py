@@ -31,6 +31,7 @@ def _true_score(cluster, program):
 
 def _run(cluster, rate, seed, generations=18, tournament=3):
     fitness = EMAmplitudeFitness(
+        cluster=cluster,
         analyzer=SpectrumAnalyzer(rng=np.random.default_rng(seed)),
         samples=6,
     )
@@ -42,7 +43,7 @@ def _run(cluster, rate, seed, generations=18, tournament=3):
         tournament_size=tournament,
         seed=seed,
     )
-    result = GAEngine(lambda p: fitness(cluster, p), config).run(
+    result = GAEngine(fitness, config).run(
         cluster.spec.isa
     )
     return _true_score(cluster, result.best_program)

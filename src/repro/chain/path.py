@@ -1,9 +1,11 @@
 """The composed signal path: one batched call through every stage.
 
 ``SignalPath.em_chain(radiator, analyzer)`` builds the paper's full
-measurement chain; ``run(request)`` pushes N items through it and
-returns a :class:`ChainResult` with per-item artifacts, per-stage wall
-times and the session cache-counter deltas.  Stage bodies are wrapped
+measurement chain and ``SignalPath.response_chain()`` its CPU -> PDN
+prefix (``Cluster.run``, the voltage-feedback fitnesses);
+``run(request)`` pushes N items through it and returns a
+:class:`ChainResult` with per-item artifacts, per-stage wall times and
+the session cache-counter deltas.  Stage bodies are wrapped
 in ``kernel_section("chain.<stage>")`` so an enclosing
 :func:`repro.obs.timing.collect_kernel_timings` block -- e.g. the GA
 engine's per-generation collector -- sees the chain-stage breakdown
@@ -71,6 +73,19 @@ class SignalPath:
                 PropagateStage(analyzer),
                 ReceiveStage(analyzer),
             ],
+            session=session,
+            injector=injector,
+        )
+
+    @classmethod
+    def response_chain(
+        cls,
+        session: Optional[SimulationSession] = None,
+        injector: Optional[FaultInjector] = None,
+    ) -> "SignalPath":
+        """CPU -> PDN only: the rail response, no EM readout."""
+        return cls(
+            [ExecuteStage(), CurrentStage(), PDNStage()],
             session=session,
             injector=injector,
         )

@@ -30,7 +30,6 @@ from repro.ga.islands import (
     IslandGAEngine,
 )
 from repro.ga.fitness import (
-    ClusterFitness,
     EMAmplitudeFitness,
     FitnessEvaluation,
     MaxDroopFitness,
@@ -301,7 +300,8 @@ class VirusGenerator:
         :func:`repro.ga.islands.load_island_checkpoint` when the
         generator carries an :class:`~repro.ga.islands.IslandConfig`).
         """
-        fitness_fn = EMAmplitudeFitness(
+        fitness = EMAmplitudeFitness(
+            cluster=self.cluster,
             analyzer=self.characterizer.analyzer,
             radiator=self.characterizer.radiator,
             band=band,
@@ -309,13 +309,14 @@ class VirusGenerator:
             active_cores=self.active_cores,
             # Serial evaluation shares the characterizer's session, so
             # GA generations and the champion re-measurement reuse the
-            # same execution and transfer-function caches.  Worker
-            # dispatch drops it in pickling; each worker warms its own.
+            # same execution and transfer-function caches (the droop
+            # and Kelvin fitnesses below do the same).  Worker dispatch
+            # drops it in pickling; each worker warms its own.
             session=self.characterizer.session,
             fault_injector=self.fault_injector,
         )
         return self._run_ga(
-            ClusterFitness(fitness_fn, self.cluster),
+            fitness,
             metric="em-amplitude",
             progress=progress,
             resume=resume,
@@ -334,11 +335,15 @@ class VirusGenerator:
             raise ValueError(
                 f"{self.cluster.name} has no OC-DSO; use generate_em_virus"
             )
-        fitness_fn = MaxDroopFitness(
-            oscilloscope=oscilloscope, active_cores=self.active_cores
+        fitness = MaxDroopFitness(
+            cluster=self.cluster,
+            oscilloscope=oscilloscope,
+            active_cores=self.active_cores,
+            session=self.characterizer.session,
+            fault_injector=self.fault_injector,
         )
         return self._run_ga(
-            ClusterFitness(fitness_fn, self.cluster),
+            fitness,
             metric="oc-dso-droop",
             progress=progress,
         )
@@ -354,11 +359,15 @@ class VirusGenerator:
                 f"{self.cluster.name} has no Kelvin pads; "
                 "use generate_em_virus"
             )
-        fitness_fn = PeakToPeakFitness(
-            probe=probe, active_cores=self.active_cores
+        fitness = PeakToPeakFitness(
+            cluster=self.cluster,
+            probe=probe,
+            active_cores=self.active_cores,
+            session=self.characterizer.session,
+            fault_injector=self.fault_injector,
         )
         return self._run_ga(
-            ClusterFitness(fitness_fn, self.cluster),
+            fitness,
             metric="kelvin-peak-to-peak",
             progress=progress,
         )

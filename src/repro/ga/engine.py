@@ -26,7 +26,11 @@ import numpy as np
 
 from repro.cpu.isa import InstructionSpec
 from repro.cpu.program import LoopProgram, random_program
-from repro.ga.fitness import FitnessEvaluation
+from repro.ga.fitness import (
+    FitnessEvaluation,
+    capture_fitness_state,
+    restore_fitness_state,
+)
 from repro.ga.operators import (
     mutate,
     one_point_crossover,
@@ -199,16 +203,6 @@ class GAEngine:
     def cache_size(self) -> int:
         return len(self._cache)
 
-    def _evaluate(self, program: LoopProgram) -> FitnessEvaluation:
-        if not self._memoize:
-            return self._fitness(program)
-        key = program.genome()
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._fitness(program)
-            self._cache[key] = hit
-        return hit
-
     def _evaluate_generation(
         self,
         population: Sequence[LoopProgram],
@@ -254,17 +248,6 @@ class GAEngine:
     # ------------------------------------------------------------------
     # checkpoint plumbing
     # ------------------------------------------------------------------
-    def _capture_fitness_state(self) -> Optional[dict]:
-        capture = getattr(self._fitness, "fitness_state", None)
-        return capture() if capture is not None else None
-
-    def _restore_fitness_state(self, state: Optional[dict]) -> None:
-        if state is None:
-            return
-        restore = getattr(self._fitness, "restore_fitness_state", None)
-        if restore is not None:
-            restore(state)
-
     def _check_resume_config(self, resumed: GAConfig) -> None:
         """Search hyperparameters must match; ``generations`` may be
         extended and ``workers`` re-chosen on resume."""
@@ -292,7 +275,7 @@ class GAEngine:
             cache=dict(self._cache),
             history=list(history),
             evaluations=evaluations,
-            fitness_state=self._capture_fitness_state(),
+            fitness_state=capture_fitness_state(self._fitness),
         )
 
     def _save_checkpoint_resilient(
@@ -341,7 +324,7 @@ class GAEngine:
             rng.bit_generator.state = resume.rng_state
             if self._memoize:
                 self._cache.update(resume.cache)
-            self._restore_fitness_state(resume.fitness_state)
+            restore_fitness_state(self._fitness, resume.fitness_state)
             return (
                 list(resume.population),
                 list(resume.history),
@@ -357,95 +340,135 @@ class GAEngine:
             return population, [], 0, 0
         return self._initial_population(isa, rng), [], 0, 0
 
-    def _run_generations(
+    def _evolve(
         self,
-        population: List[LoopProgram],
-        rng: np.random.Generator,
-        history: List[GenerationRecord],
-        evaluations: int,
-        start_gen: int,
+        isa,
         stop_gen: int,
-        breed_final: bool,
-        evaluator: ParallelEvaluator,
-        log: EventLog,
+        segment: bool,
+        initial_population: Optional[Sequence[LoopProgram]],
         progress: Optional[Callable[[GenerationRecord], None]],
+        log: EventLog,
         checkpoint_path: Optional[Union[str, Path]],
         checkpoint_every: int,
-    ) -> Tuple[List[LoopProgram], int]:
-        """The generational loop shared by :meth:`run` and
-        :meth:`run_segment`.
+        resume: Optional[GACheckpoint],
+        evaluator: Optional[ParallelEvaluator],
+    ) -> Tuple[
+        List[LoopProgram], np.random.Generator, List[GenerationRecord], int
+    ]:
+        """The body shared by :meth:`run` and :meth:`run_segment`.
 
-        Evaluates generations ``start_gen .. stop_gen - 1``, appending
-        to ``history`` in place.  ``breed_final`` controls whether the
-        last evaluated generation is bred into a successor population
-        (a segment boundary needs the next population; a finished
-        campaign does not).  Returns the final population and the
-        updated evaluation count.
+        Prepares the population (fresh, seeded or resumed), emits the
+        run or segment start event, then evaluates generations up to
+        ``stop_gen - 1``.  A segment (``segment=True``) also breeds its
+        last generation into a successor population, which a segment
+        boundary needs and a finished campaign does not.  Without an
+        ``evaluator`` one is built from ``config.workers`` and closed
+        at the end.  Returns (population, rng, history, evaluations).
         """
-        for gen in range(start_gen, stop_gen):
-            log.emit(
-                "generation_start",
-                generation=gen,
-                population_size=len(population),
-            )
-            with collect_kernel_timings() as timings:
-                evals, fresh = self._evaluate_generation(
-                    population, evaluator
+        check_checkpoint_every(checkpoint_every)
+        rng = np.random.default_rng(self.config.seed)
+        population, history, evaluations, start_gen = (
+            self._prepare_population(isa, rng, initial_population, resume)
+        )
+        if segment:
+            if start_gen >= stop_gen:
+                raise ValueError(
+                    f"segment does not advance: resume is at generation "
+                    f"{start_gen}, until_generation={stop_gen}"
                 )
-            evaluations += fresh
-            scores = [e.score for e in evals]
-            best_idx = int(np.argmax(scores))
-            record = GenerationRecord(
-                generation=gen,
-                best_program=population[best_idx],
-                best=evals[best_idx],
-                mean_score=float(np.mean(scores)),
-            )
-            history.append(record)
             log.emit(
-                "generation_end",
-                generation=gen,
-                best_score=record.best.score,
-                mean_score=record.mean_score,
-                best_droop_v=record.best.max_droop_v,
-                dominant_frequency_hz=(
-                    record.best.dominant_frequency_hz
-                ),
-                best_ipc=record.best.ipc,
-                fresh_evaluations=fresh,
-                cache_hits=len(population) - fresh,
+                "ga_segment_start",
+                start_generation=start_gen,
+                until_generation=stop_gen,
                 cache_size=len(self._cache),
-                dispatched_workers=(
-                    evaluator.workers if evaluator.parallel else 1
-                ),
-                quarantined=len(evaluator.quarantined) or None,
-                kernel_timings=timings.snapshot() or None,
-                worker_cache_stats=evaluator.worker_stats() or None,
             )
-            if progress is not None:
-                progress(record)
-            if gen == stop_gen - 1 and not breed_final:
-                break
-            population = self._next_generation(
-                population, scores, rng, best_idx
+        else:
+            log.emit(
+                "ga_run_start",
+                config=self._config_dict(),
+                resumed_from_generation=start_gen if resume else None,
+                cache_size=len(self._cache),
             )
-            if checkpoint_path is not None and (
-                (gen + 1) % checkpoint_every == 0
-            ):
-                saved = self._save_checkpoint_resilient(
-                    self._make_checkpoint(
-                        gen + 1, population, rng, history, evaluations
-                    ),
-                    checkpoint_path,
-                    log,
-                )
+        owns_evaluator = evaluator is None
+        if owns_evaluator:
+            evaluator = ParallelEvaluator(
+                self._fitness,
+                self.config.workers,
+                retry_policy=self._retry_policy,
+                fault_injector=self._fault_injector,
+                event_log=log,
+            )
+        try:
+            # Start the persistent pool (workers warm their sessions)
+            # up front so the first generation is not charged for it.
+            evaluator.warm_up()
+            for gen in range(start_gen, stop_gen):
                 log.emit(
-                    "checkpoint_saved",
-                    generation=gen + 1,
-                    path=str(saved),
-                    cache_size=len(self._cache),
+                    "generation_start",
+                    generation=gen,
+                    population_size=len(population),
                 )
-        return population, evaluations
+                with collect_kernel_timings() as timings:
+                    evals, fresh = self._evaluate_generation(
+                        population, evaluator
+                    )
+                evaluations += fresh
+                scores = [e.score for e in evals]
+                best_idx = int(np.argmax(scores))
+                record = GenerationRecord(
+                    generation=gen,
+                    best_program=population[best_idx],
+                    best=evals[best_idx],
+                    mean_score=float(np.mean(scores)),
+                )
+                history.append(record)
+                log.emit(
+                    "generation_end",
+                    generation=gen,
+                    best_score=record.best.score,
+                    mean_score=record.mean_score,
+                    best_droop_v=record.best.max_droop_v,
+                    dominant_frequency_hz=(
+                        record.best.dominant_frequency_hz
+                    ),
+                    best_ipc=record.best.ipc,
+                    fresh_evaluations=fresh,
+                    cache_hits=len(population) - fresh,
+                    cache_size=len(self._cache),
+                    dispatched_workers=(
+                        evaluator.workers if evaluator.parallel else 1
+                    ),
+                    quarantined=len(evaluator.quarantined) or None,
+                    kernel_timings=timings.snapshot() or None,
+                    worker_cache_stats=evaluator.worker_stats() or None,
+                )
+                if progress is not None:
+                    progress(record)
+                if gen == stop_gen - 1 and not segment:
+                    break
+                population = self._next_generation(
+                    population, scores, rng, best_idx
+                )
+                if checkpoint_path is not None and (
+                    (gen + 1) % checkpoint_every == 0
+                ):
+                    saved = self._save_checkpoint_resilient(
+                        self._make_checkpoint(
+                            gen + 1, population, rng, history, evaluations
+                        ),
+                        checkpoint_path,
+                        log,
+                    )
+                    log.emit(
+                        "checkpoint_saved",
+                        generation=gen + 1,
+                        path=str(saved),
+                        cache_size=len(self._cache),
+                    )
+        finally:
+            if owns_evaluator:
+                evaluator.close()
+        return population, rng, history, evaluations
 
     def run(
         self,
@@ -480,52 +503,21 @@ class GAEngine:
         one, the engine builds its own from ``config.workers`` and
         closes it when the run ends.
         """
-        cfg = self.config
         log = event_log if event_log is not None else NULL_LOG
-        check_checkpoint_every(checkpoint_every)
-        rng = np.random.default_rng(cfg.seed)
-        population, history, evaluations, start_gen = (
-            self._prepare_population(isa, rng, initial_population, resume)
+        _, _, history, evaluations = self._evolve(
+            isa,
+            self.config.generations,
+            segment=False,
+            initial_population=initial_population,
+            progress=progress,
+            log=log,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every,
+            resume=resume,
+            evaluator=evaluator,
         )
-
-        log.emit(
-            "ga_run_start",
-            config=self._config_dict(),
-            resumed_from_generation=start_gen if resume else None,
-            cache_size=len(self._cache),
-        )
-        owns_evaluator = evaluator is None
-        if owns_evaluator:
-            evaluator = ParallelEvaluator(
-                self._fitness,
-                cfg.workers,
-                retry_policy=self._retry_policy,
-                fault_injector=self._fault_injector,
-                event_log=log,
-            )
-        # Start the persistent pool (workers warm their sessions) up
-        # front so the first generation is not charged for it.
-        evaluator.warm_up()
-        try:
-            population, evaluations = self._run_generations(
-                population,
-                rng,
-                history,
-                evaluations,
-                start_gen,
-                cfg.generations,
-                False,
-                evaluator,
-                log,
-                progress,
-                checkpoint_path,
-                checkpoint_every,
-            )
-        finally:
-            if owns_evaluator:
-                evaluator.close()
         result = GAResult(
-            config=cfg, history=history, evaluations=evaluations
+            config=self.config, history=history, evaluations=evaluations
         )
         best = result.best
         log.emit(
@@ -566,57 +558,24 @@ class GAEngine:
         Emits ``ga_segment_start``/``ga_segment_end`` instead of the
         run-level ``ga_run_start``/``ga_run_end`` events.
         """
-        cfg = self.config
         log = event_log if event_log is not None else NULL_LOG
-        check_checkpoint_every(checkpoint_every)
-        if not 1 <= until_generation <= cfg.generations:
+        if not 1 <= until_generation <= self.config.generations:
             raise ValueError(
                 "until_generation must be in [1, config.generations], "
                 f"got {until_generation}"
             )
-        rng = np.random.default_rng(cfg.seed)
-        population, history, evaluations, start_gen = (
-            self._prepare_population(isa, rng, initial_population, resume)
+        population, rng, history, evaluations = self._evolve(
+            isa,
+            until_generation,
+            segment=True,
+            initial_population=initial_population,
+            progress=progress,
+            log=log,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every,
+            resume=resume,
+            evaluator=evaluator,
         )
-        if start_gen >= until_generation:
-            raise ValueError(
-                f"segment does not advance: resume is at generation "
-                f"{start_gen}, until_generation={until_generation}"
-            )
-        log.emit(
-            "ga_segment_start",
-            start_generation=start_gen,
-            until_generation=until_generation,
-            cache_size=len(self._cache),
-        )
-        owns_evaluator = evaluator is None
-        if owns_evaluator:
-            evaluator = ParallelEvaluator(
-                self._fitness,
-                cfg.workers,
-                retry_policy=self._retry_policy,
-                fault_injector=self._fault_injector,
-                event_log=log,
-            )
-        evaluator.warm_up()
-        try:
-            population, evaluations = self._run_generations(
-                population,
-                rng,
-                history,
-                evaluations,
-                start_gen,
-                until_generation,
-                True,
-                evaluator,
-                log,
-                progress,
-                checkpoint_path,
-                checkpoint_every,
-            )
-        finally:
-            if owns_evaluator:
-                evaluator.close()
         checkpoint = self._make_checkpoint(
             until_generation, population, rng, history, evaluations
         )

@@ -368,9 +368,8 @@ class IslandGAEngine:
     ``fitness`` is the prototype fitness callable; each island runs an
     independent *replica* (a pickle round-trip of the prototype --
     exactly how worker processes already receive their copies, so
-    session state is rebuilt per island and stateful analyzers keep
-    per-island RNG streams).  Unpicklable fitness callables need a
-    ``fitness_factory`` (called with the island index) or
+    session state is rebuilt per island and instrument RNGs advance
+    per island).  An unpicklable fitness runs only with
     ``islands=1``.
 
     ``fault_injector`` supplies the :class:`~repro.faults.FaultPlan`;
@@ -393,7 +392,6 @@ class IslandGAEngine:
         memoize: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
         fault_injector: Optional[FaultInjector] = None,
-        fitness_factory: Optional[Callable[[int], Callable]] = None,
     ):
         self.config = config
         self.island_config = island_config
@@ -420,11 +418,8 @@ class IslandGAEngine:
             )
             for i in range(k)
         )
-        self._factory = fitness_factory
         self._proto: Optional[bytes] = None
-        if fitness_factory is not None:
-            self._replicas = [fitness_factory(i) for i in range(k)]
-        elif k == 1:
+        if k == 1:
             self._replicas = [fitness]
         else:
             try:
@@ -433,8 +428,8 @@ class IslandGAEngine:
                 pickle.PicklingError, TypeError, AttributeError
             ) as exc:
                 raise ValueError(
-                    "fitness is not picklable; pass fitness_factory "
-                    f"to run more than one island ({exc})"
+                    "fitness is not picklable, so it runs only with "
+                    f"islands=1 ({exc})"
                 ) from exc
             self._replicas = [
                 pickle.loads(self._proto) for _ in range(k)
@@ -761,14 +756,17 @@ class IslandGAEngine:
         on resume.  The evaluator (and its worker pool) is rebuilt
         because the old pool may be broken or degraded.
         """
-        from repro.io.serialization import SerializationError
+        from repro.io.serialization import (
+            SerializationError,
+            load_checkpoint,
+        )
 
         candidate: Optional[GACheckpoint] = boundary
         source = "memory-checkpoint" if boundary is not None else "fresh"
         if island_path is not None:
             try:
-                disk = load_checkpoint_for_island(
-                    island_path, self._logs[island]
+                disk = load_checkpoint(
+                    island_path, event_log=self._logs[island]
                 )
             except (FileNotFoundError, SerializationError):
                 disk = None
@@ -779,9 +777,7 @@ class IslandGAEngine:
                 ):
                     candidate = disk
                     source = "disk-checkpoint"
-        if self._factory is not None:
-            self._replicas[island] = self._factory(island)
-        elif self._proto is not None:
+        if self._proto is not None:
             self._replicas[island] = pickle.loads(self._proto)
         if self._evaluators is not None:
             self._evaluators[island].close()
@@ -814,12 +810,3 @@ class IslandGAEngine:
                 f"config: {resume.config} vs {self.config}"
             )
 
-
-def load_checkpoint_for_island(
-    path: Union[str, Path], event_log=None
-) -> GACheckpoint:
-    """Load one island's rotated checkpoint file (thin wrapper kept
-    separate so recovery can be exercised/stubbed in tests)."""
-    from repro.io.serialization import load_checkpoint
-
-    return load_checkpoint(path, event_log=event_log)

@@ -17,14 +17,15 @@ the persistent warm-cache pool in :mod:`repro.ga.workers`) is:
 Ordering is deterministic: results are keyed by shard index and each
 shard preserves item order, so a *pure* fitness function produces
 bit-identical ``GAResult`` histories at any worker count (the
-``workers=4 == workers=1`` determinism test).  A fitness that mutates
-hidden state per call (e.g. a spectrum analyzer advancing its RNG)
-keeps that state per-process under parallel dispatch, so its scores
-are only reproducible serially -- leave ``workers=1`` for those.
+``workers=4 == workers=1`` determinism test).  A fitness that draws
+instrument noise (every fitness in :mod:`repro.ga.fitness`: the
+analyzer's or the scope's RNG) advances one copy of that RNG per
+worker process, so a ``workers=N`` run reproduces itself at the same
+N but not the serial run.
 
 Fitness callables must be picklable to cross the process boundary
 (plain functions, dataclass instances such as
-:class:`repro.ga.fitness.ClusterFitness` -- not closures).  The
+:class:`repro.ga.fitness.EMAmplitudeFitness` -- not closures).  The
 constructor pickles the fitness spec once: an unpicklable fitness
 degrades gracefully to serial evaluation, and otherwise those bytes
 are the payload every pool worker starts from.
@@ -55,12 +56,12 @@ from repro.cpu.program import LoopProgram
 from repro.faults.errors import RETRYABLE_FAULTS, WorkerCrash
 from repro.faults.plan import NULL_INJECTOR, FaultInjector
 from repro.faults.retry import RetryPolicy, call_with_retry
-from repro.ga.fitness import FitnessEvaluation
-from repro.ga.workers import (
-    PersistentWorkerPool,
-    evaluate_with as _evaluate_with,
-    state_hooks as _state_hooks,
+from repro.ga.fitness import (
+    FitnessEvaluation,
+    evaluate_programs,
+    state_hooks,
 )
+from repro.ga.workers import PersistentWorkerPool
 from repro.obs.events import NULL_LOG, EventLog
 
 #: Score assigned to quarantined genomes.  Real fitness metrics
@@ -218,11 +219,11 @@ class ParallelEvaluator:
         self, programs: Sequence[LoopProgram]
     ) -> List[FitnessEvaluation]:
         if self._policy is None:
-            return _evaluate_with(self._fitness, programs)
-        capture, restore = _state_hooks(self._fitness)
+            return evaluate_programs(self._fitness, programs)
+        capture, restore = state_hooks(self._fitness)
         try:
             return call_with_retry(
-                lambda: _evaluate_with(self._fitness, programs),
+                lambda: evaluate_programs(self._fitness, programs),
                 self._policy,
                 event_log=self._log,
                 scope="batch",
@@ -237,13 +238,13 @@ class ParallelEvaluator:
     def _salvage_items(
         self, programs: Sequence[LoopProgram]
     ) -> List[FitnessEvaluation]:
-        capture, restore = _state_hooks(self._fitness)
+        capture, restore = state_hooks(self._fitness)
         results: List[FitnessEvaluation] = []
         for program in programs:
             try:
                 results.append(
                     call_with_retry(
-                        lambda p=program: _evaluate_with(
+                        lambda p=program: evaluate_programs(
                             self._fitness, [p]
                         )[0],
                         self._policy,

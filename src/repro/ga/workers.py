@@ -47,11 +47,17 @@ import queue as queue_module
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.faults.errors import StageTimeout
 from repro.faults.plan import FaultInjector
 from repro.faults.retry import RetryPolicy, call_with_retry
+from repro.ga.fitness import (
+    evaluate_programs,
+    fitness_session_stats,
+    state_hooks,
+    warm_up_fitness,
+)
 from repro.obs.events import NULL_LOG, EventLog
 
 #: Receive-loop poll granularity; also bounds crash-detection latency.
@@ -59,29 +65,6 @@ _POLL_S = 0.05
 
 #: Wall-clock budget for a worker to finish warm-up and report ready.
 DEFAULT_START_TIMEOUT_S = 120.0
-
-
-# ---------------------------------------------------------------------------
-# helpers shared with the serial paths in repro.ga.parallel
-# ---------------------------------------------------------------------------
-def evaluate_with(
-    fitness: Callable, programs: Sequence
-) -> List:
-    """Evaluate in order, batched when the fitness supports it."""
-    batch = getattr(fitness, "evaluate_batch", None)
-    if batch is not None:
-        return list(batch(programs))
-    return [fitness(p) for p in programs]
-
-
-def state_hooks(
-    fitness: Callable,
-) -> Tuple[Optional[Callable], Optional[Callable]]:
-    """(capture, restore) fitness-state hooks, if the fitness has them."""
-    return (
-        getattr(fitness, "fitness_state", None),
-        getattr(fitness, "restore_fitness_state", None),
-    )
 
 
 def _dump_exception(exc: BaseException) -> bytes:
@@ -115,10 +98,10 @@ def _run_shard(
     """
     injector.visit("worker.shard")
     if policy is None:
-        return evaluate_with(fitness, programs)
+        return evaluate_programs(fitness, programs)
     capture, restore = state_hooks(fitness)
     return call_with_retry(
-        lambda: evaluate_with(fitness, programs),
+        lambda: evaluate_programs(fitness, programs),
         policy,
         scope="worker-shard",
         capture_state=capture,
@@ -132,9 +115,8 @@ def _worker_main(
     """Long-lived worker loop: warm up once, then serve shards."""
     fitness, injector, policy = pickle.loads(payload)
     t0 = time.perf_counter()
-    warm = getattr(fitness, "warm_up", None)
     try:
-        warm_stats = warm() if warm is not None else None
+        warm_stats = warm_up_fitness(fitness)
     # Warm-up failures (whatever they are) must surface in the
     # parent with their original type, not hang the pool start.
     except BaseException as exc:  # audit: ignore[R6]
@@ -157,8 +139,7 @@ def _worker_main(
                 ("raised", worker_id, task_key, _dump_exception(exc))
             )
             continue
-        stats_hook = getattr(fitness, "session_stats", None)
-        stats = stats_hook() if stats_hook is not None else None
+        stats = fitness_session_stats(fitness)
         result_q.put(("ok", worker_id, task_key, evaluations, stats))
 
 

@@ -242,10 +242,7 @@ class Cluster:
             jitter_smooth_cycles=jitter_smooth_cycles,
             activity_compression=activity_compression,
         )
-        path = chain.SignalPath(
-            [chain.ExecuteStage(), chain.CurrentStage(), chain.PDNStage()],
-            session=session,
-        )
+        path = chain.SignalPath.response_chain(session=session)
         request = chain.ChainRequest(
             self, [item], want_amplitude=False, want_trace=False
         )

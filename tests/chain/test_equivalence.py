@@ -17,12 +17,7 @@ import pytest
 from repro import EMCharacterizer, make_juno_board
 from repro.core.resonance import ResonanceSweep
 from repro.ga.engine import GAConfig, GAEngine
-from repro.ga.fitness import (
-    ClusterFitness,
-    EMAmplitudeFitness,
-    FitnessEvaluation,
-    _common_metrics,
-)
+from repro.ga.fitness import EMAmplitudeFitness, FitnessEvaluation
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 from repro.obs.context import RunContext
 from repro.obs.events import EventLog, MemorySink
@@ -60,19 +55,25 @@ def legacy_measure(
 class LegacyEMAmplitudeFitness:
     """The pre-chain ``EMAmplitudeFitness.__call__`` body, verbatim."""
 
+    cluster: object
     analyzer: SpectrumAnalyzer
     radiator: object
     band: Tuple[float, float]
     samples: int
     active_cores: Optional[int] = None
 
-    def __call__(self, cluster, program) -> FitnessEvaluation:
-        run = cluster.run(program, active_cores=self.active_cores)
+    def __call__(self, program) -> FitnessEvaluation:
+        run = self.cluster.run(program, active_cores=self.active_cores)
         emission = self.radiator.emission(run.response)
         score = self.analyzer.max_amplitude(
             emission, band=self.band, samples=self.samples
         )
-        dominant, droop, p2p, ipc = _common_metrics(run, self.band)
+        dominant, droop, p2p, ipc = (
+            run.dominant_frequency_hz(self.band),
+            run.max_droop,
+            run.peak_to_peak,
+            run.ipc,
+        )
         banded = emission.band(*self.band)
         peak_freq, _ = banded.peak()
         return FitnessEvaluation(
@@ -223,26 +224,22 @@ class TestGAGenerationEquivalence:
 
     def test_ga_history_bit_identical_to_legacy_fitness(self, a53):
         band = (50.0e6, 200.0e6)
-        legacy_fitness = ClusterFitness(
-            LegacyEMAmplitudeFitness(
-                analyzer=SpectrumAnalyzer(rng=np.random.default_rng(33)),
-                radiator=EMCharacterizer().radiator,
-                band=band,
-                samples=3,
-            ),
-            a53,
+        legacy_fitness = LegacyEMAmplitudeFitness(
+            cluster=a53,
+            analyzer=SpectrumAnalyzer(rng=np.random.default_rng(33)),
+            radiator=EMCharacterizer().radiator,
+            band=band,
+            samples=3,
         )
         legacy = GAEngine(legacy_fitness, config=self._config()).run(
             a53.spec.isa
         )
 
-        chained_fitness = ClusterFitness(
-            EMAmplitudeFitness(
-                analyzer=SpectrumAnalyzer(rng=np.random.default_rng(33)),
-                band=band,
-                samples=3,
-            ),
-            a53,
+        chained_fitness = EMAmplitudeFitness(
+            cluster=a53,
+            analyzer=SpectrumAnalyzer(rng=np.random.default_rng(33)),
+            band=band,
+            samples=3,
         )
         chained = GAEngine(chained_fitness, config=self._config()).run(
             a53.spec.isa
@@ -259,12 +256,10 @@ class TestGAGenerationEquivalence:
 
     def test_generation_end_records_chain_stage_timings(self, a53):
         sink = MemorySink()
-        fitness = ClusterFitness(
-            EMAmplitudeFitness(
-                analyzer=SpectrumAnalyzer(rng=np.random.default_rng(2)),
-                samples=2,
-            ),
-            a53,
+        fitness = EMAmplitudeFitness(
+            cluster=a53,
+            analyzer=SpectrumAnalyzer(rng=np.random.default_rng(2)),
+            samples=2,
         )
         GAEngine(fitness, config=self._config()).run(
             a53.spec.isa, event_log=EventLog([sink])

@@ -17,7 +17,7 @@ from repro.chain import ChainItem
 from repro.cpu.cache import CacheModel
 from repro.cpu.isa import InstructionSet
 from repro.cpu.program import program_from_mnemonics, random_program
-from repro.ga.fitness import ClusterFitness, EMAmplitudeFitness
+from repro.ga.fitness import EMAmplitudeFitness
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 from repro.workloads.loops import high_low_program
 from tests.golden.test_golden import GOLDEN_DIR, response_only, run_digest
@@ -133,20 +133,22 @@ class TestNondeterministicThroughChain:
         cache = CacheModel(l1_slots=64)
 
         serial = EMAmplitudeFitness(
+            cluster=a72,
             analyzer=SpectrumAnalyzer(rng=np.random.default_rng(10)),
             samples=3,
             cache_model=cache,
             memory_rng=np.random.default_rng(11),
         )
-        expected = [serial(a72, p) for p in programs]
+        expected = [serial(p) for p in programs]
 
         batched = EMAmplitudeFitness(
+            cluster=a72,
             analyzer=SpectrumAnalyzer(rng=np.random.default_rng(10)),
             samples=3,
             cache_model=cache,
             memory_rng=np.random.default_rng(11),
         )
-        got = batched.evaluate_batch(a72, programs)
+        got = batched.evaluate_batch(programs)
 
         assert got == expected
         assert (
@@ -159,12 +161,10 @@ class TestNondeterministicThroughChain:
         )
 
     def test_cluster_fitness_batch_delegates(self, a72):
-        fitness = ClusterFitness(
-            EMAmplitudeFitness(
-                analyzer=SpectrumAnalyzer(rng=np.random.default_rng(4)),
-                samples=2,
-            ),
-            a72,
+        fitness = EMAmplitudeFitness(
+            cluster=a72,
+            analyzer=SpectrumAnalyzer(rng=np.random.default_rng(4)),
+            samples=2,
         )
         program = high_low_program(a72.spec.isa)
         evaluations = fitness.evaluate_batch([program, program])

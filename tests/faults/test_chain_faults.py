@@ -20,7 +20,7 @@ from repro.faults import (
     RetryPolicy,
     TransientFault,
 )
-from repro.ga.fitness import ClusterFitness, EMAmplitudeFitness
+from repro.ga.fitness import EMAmplitudeFitness
 from repro.ga.parallel import ParallelEvaluator
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 from repro.obs.events import EventLog, MemorySink
@@ -51,15 +51,13 @@ def _memory_programs(cluster, count=3, length=16):
 
 def _fitness(cluster, injector=None):
     """A fitness whose score consumes two RNG streams per batch."""
-    return ClusterFitness(
-        EMAmplitudeFitness(
-            analyzer=SpectrumAnalyzer(rng=np.random.default_rng(2)),
-            samples=3,
-            cache_model=CacheModel(l1_slots=64),
-            memory_rng=np.random.default_rng(3),
-            fault_injector=injector,
-        ),
-        cluster,
+    return EMAmplitudeFitness(
+        cluster=cluster,
+        analyzer=SpectrumAnalyzer(rng=np.random.default_rng(2)),
+        samples=3,
+        cache_model=CacheModel(l1_slots=64),
+        memory_rng=np.random.default_rng(3),
+        fault_injector=injector,
     )
 
 

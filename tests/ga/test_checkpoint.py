@@ -238,3 +238,58 @@ class TestEMChainResume:
         assert resumed.virus.genome() == full.virus.genome()
         assert resumed.max_droop_v == full.max_droop_v
         assert resumed.dominant_frequency_hz == full.dominant_frequency_hz
+
+
+def _droop_fitness(juno_board, amd_desktop):
+    from repro.ga.fitness import MaxDroopFitness
+    from repro.instruments.oscilloscope import Oscilloscope
+
+    return MaxDroopFitness(
+        cluster=juno_board.a72,
+        oscilloscope=Oscilloscope(rng=np.random.default_rng(1)),
+    )
+
+
+def _kelvin_fitness(juno_board, amd_desktop):
+    from repro.ga.fitness import PeakToPeakFitness
+    from repro.instruments.probes import DifferentialProbe
+
+    return PeakToPeakFitness(
+        cluster=amd_desktop.cpu, probe=DifferentialProbe()
+    )
+
+
+class TestScopeFitnessResume:
+    """The voltage-feedback fitnesses carry their scope RNG across a
+    checkpoint, so a resumed campaign equals the uninterrupted one."""
+
+    @pytest.mark.parametrize(
+        "make_fitness",
+        [_droop_fitness, _kelvin_fitness],
+        ids=["max-droop", "peak-to-peak"],
+    )
+    def test_resume_from_mid_run_checkpoint(
+        self, make_fitness, juno_board, amd_desktop, tmp_path
+    ):
+        juno_board.a72.reset()
+        amd_desktop.cpu.reset()
+        fitness = make_fitness(juno_board, amd_desktop)
+        isa = fitness.cluster.spec.isa
+        config = GAConfig(
+            population_size=8, generations=4, loop_length=10, seed=3
+        )
+        ckpt = tmp_path / "scope.ckpt.json"
+        full = GAEngine(fitness, config=config).run(
+            isa, checkpoint_path=ckpt, checkpoint_every=2
+        )
+        checkpoint = load_checkpoint(ckpt)
+        assert checkpoint.generation == 2
+        assert checkpoint.fitness_state is not None
+
+        resumed = GAEngine(
+            make_fitness(juno_board, amd_desktop), config=config
+        ).run(isa, resume=checkpoint)
+        _assert_identical(resumed, full)
+        assert [r.mean_score for r in resumed.history] == [
+            r.mean_score for r in full.history
+        ]

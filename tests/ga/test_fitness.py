@@ -30,10 +30,11 @@ def quiet_loop(a72):
 class TestEMAmplitudeFitness:
     def test_returns_evaluation_fields(self, a72, hilo):
         fit = EMAmplitudeFitness(
+            cluster=a72,
             analyzer=SpectrumAnalyzer(rng=np.random.default_rng(0)),
             samples=5,
         )
-        ev = fit(a72, hilo)
+        ev = fit(hilo)
         assert ev.score > 0.0
         assert 50e6 <= ev.dominant_frequency_hz <= 200e6
         assert ev.max_droop_v > 0.0
@@ -43,10 +44,11 @@ class TestEMAmplitudeFitness:
     def test_hilo_beats_flat_loop(self, a72, hilo, quiet_loop):
         """Alternating current scores higher EM amplitude than flat."""
         fit = EMAmplitudeFitness(
+            cluster=a72,
             analyzer=SpectrumAnalyzer(rng=np.random.default_rng(1)),
             samples=5,
         )
-        assert fit(a72, hilo).score > fit(a72, quiet_loop).score
+        assert fit(hilo).score > fit(quiet_loop).score
 
 
 class TestMaxDroopFitness:
@@ -56,14 +58,14 @@ class TestMaxDroopFitness:
             resolution_bits=14,
             rng=np.random.default_rng(2),
         )
-        fit = MaxDroopFitness(oscilloscope=scope)
-        ev = fit(a72, hilo)
+        fit = MaxDroopFitness(cluster=a72, oscilloscope=scope)
+        ev = fit(hilo)
         assert ev.score == pytest.approx(ev.max_droop_v, rel=0.1)
 
     def test_hilo_beats_flat(self, a72, hilo, quiet_loop):
         scope = Oscilloscope(rng=np.random.default_rng(3))
-        fit = MaxDroopFitness(oscilloscope=scope)
-        assert fit(a72, hilo).score > fit(a72, quiet_loop).score
+        fit = MaxDroopFitness(cluster=a72, oscilloscope=scope)
+        assert fit(hilo).score > fit(quiet_loop).score
 
 
 class TestPeakToPeakFitness:
@@ -71,8 +73,8 @@ class TestPeakToPeakFitness:
         prog = program_from_mnemonics(
             athlon.spec.isa, ["add_rr"] * 8 + ["idiv_rr"]
         )
-        fit = PeakToPeakFitness(probe=DifferentialProbe())
-        ev = fit(athlon, prog)
+        fit = PeakToPeakFitness(cluster=athlon, probe=DifferentialProbe())
+        ev = fit(prog)
         assert ev.score > 0.0
         assert ev.peak_to_peak_v > 0.0
 
@@ -83,6 +85,7 @@ class TestCacheModeFitness:
 
         with pytest.raises(ValueError, match="memory_rng"):
             EMAmplitudeFitness(
+                cluster=a72,
                 analyzer=SpectrumAnalyzer(rng=np.random.default_rng(0)),
                 cache_model=CacheModel(),
             )
@@ -103,11 +106,12 @@ class TestCacheModeFitness:
             pool=(wide.spec("ldr"), wide.spec("add")),
         )
         fit = EMAmplitudeFitness(
+            cluster=a72,
             analyzer=SpectrumAnalyzer(rng=np.random.default_rng(2)),
             samples=3,
             cache_model=CacheModel(l1_slots=64),
             memory_rng=np.random.default_rng(3),
         )
-        a = fit(a72, program).score
-        b = fit(a72, program).score
+        a = fit(program).score
+        b = fit(program).score
         assert a != pytest.approx(b, rel=1e-6)

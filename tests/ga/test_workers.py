@@ -291,19 +291,17 @@ class TestWarmUpHooks:
         )
 
     def test_fitness_warm_up_does_not_perturb_scores(self):
-        from repro.ga.fitness import ClusterFitness, EMAmplitudeFitness
+        from repro.ga.fitness import EMAmplitudeFitness
         from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
         from repro.platforms.juno import make_juno_board
 
         def make(seed):
-            return ClusterFitness(
-                EMAmplitudeFitness(
-                    analyzer=SpectrumAnalyzer(
-                        rng=np.random.default_rng(seed)
-                    ),
-                    samples=3,
+            return EMAmplitudeFitness(
+                cluster=make_juno_board().a72,
+                analyzer=SpectrumAnalyzer(
+                    rng=np.random.default_rng(seed)
                 ),
-                make_juno_board().a72,
+                samples=3,
             )
 
         program = _programs(count=1)[0]
@@ -317,16 +315,14 @@ class TestWarmUpHooks:
         assert after is not None and after["execute_misses"] >= 1
 
     def test_generation_end_carries_worker_cache_stats(self):
-        from repro.ga.fitness import ClusterFitness, EMAmplitudeFitness
+        from repro.ga.fitness import EMAmplitudeFitness
         from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
         from repro.platforms.juno import make_juno_board
 
-        fitness = ClusterFitness(
-            EMAmplitudeFitness(
-                analyzer=SpectrumAnalyzer(rng=np.random.default_rng(3)),
-                samples=2,
-            ),
-            make_juno_board().a72,
+        fitness = EMAmplitudeFitness(
+            cluster=make_juno_board().a72,
+            analyzer=SpectrumAnalyzer(rng=np.random.default_rng(3)),
+            samples=2,
         )
         sink = MemorySink()
         GAEngine(

@@ -6,7 +6,8 @@ tolerance (strict enough to catch any modeling change, loose enough to
 survive FMA-contraction differences across platforms).  The V_MIN
 golden is compared exactly: its outcomes are discrete and its voltages
 sit on the 10 mV grid, so any drift in the rail waveform shows up as a
-changed outcome log.  The co-run / cache-miss golden is exact too: it
+changed outcome log.  The voltage-feedback GA goldens are exact too:
+they pin the order of the scope's noise draws.  The co-run / cache-miss golden is exact too: it
 holds sha256 digests of the rail waveforms.  The ``--workers 2`` virus
 golden is the CLI's summary file itself, compared byte for byte.
 
@@ -21,6 +22,7 @@ change -- an unexplained delta is a regression, not noise.
 import hashlib
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,15 +32,18 @@ from repro.chain import ChainItem, ChainRequest, SignalPath
 from repro.cli import main
 from repro.core.characterizer import EMCharacterizer
 from repro.core.resonance import ResonanceSweep
+from repro.core.virusgen import VirusGenerator
 from repro.cpu.cache import CacheModel
 from repro.cpu.isa import InstructionSet
 from repro.cpu.program import program_from_mnemonics, random_program
 from repro.em.radiation import DieRadiator
 from repro.ga.engine import GAConfig, GAEngine
-from repro.ga.fitness import ClusterFitness, EMAmplitudeFitness
+from repro.ga.fitness import EMAmplitudeFitness
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 from repro.io.serialization import load_program
 from repro.obs.context import RunContext
+from repro.platforms.amd import make_amd_desktop
+from repro.platforms.juno import make_juno_board
 from repro.stability.failure import failure_model_for
 from repro.stability.vmin import VminTester
 from repro.workloads.base import ProgramWorkload
@@ -173,14 +178,12 @@ class TestCharacterizerGolden:
 class TestGAGolden:
     def test_a53_three_generation_history(self, a53, update_golden):
         characterizer = _characterizer()
-        fitness = ClusterFitness(
-            EMAmplitudeFitness(
-                analyzer=characterizer.analyzer,
-                radiator=characterizer.radiator,
-                samples=3,
-                session=characterizer.session,
-            ),
-            a53,
+        fitness = EMAmplitudeFitness(
+            cluster=a53,
+            analyzer=characterizer.analyzer,
+            radiator=characterizer.radiator,
+            samples=3,
+            session=characterizer.session,
         )
         config = GAConfig(
             population_size=6, generations=3, loop_length=5, seed=7
@@ -203,6 +206,63 @@ class TestGAGolden:
             "best_generation": result.best.generation,
         }
         check_golden("a53_ga_history", produced, update_golden)
+
+
+def _scope_virus_record(summary):
+    """Per-generation best and mean scores plus the champion genome of
+    a voltage-feedback virus run."""
+    return {
+        "history": [
+            {
+                "generation": r.generation,
+                "best_score": r.best.score,
+                "mean_score": r.mean_score,
+            }
+            for r in summary.ga_result.history
+        ],
+        "evaluations": summary.ga_result.evaluations,
+        "champion_genome": [list(g) for g in summary.virus.genome()],
+    }
+
+
+SCOPE_GOLDEN_CONFIG = GAConfig(
+    population_size=8, generations=3, loop_length=10, seed=0
+)
+
+
+class TestScopeFitnessGolden:
+    """The voltage-feedback baselines (a72OC-DSO, amdOsc) end to end:
+    each draws its scope noise once per fresh genome, in generation
+    order, so any change to how a generation is measured shows up as
+    a changed score or champion.  Fresh boards keep the instrument
+    RNGs independent of test order."""
+
+    def test_a72_droop_virus_oc_dso(self, update_golden):
+        board = make_juno_board()
+        summary = VirusGenerator(
+            board.a72, config=SCOPE_GOLDEN_CONFIG
+        ).generate_droop_virus(board.oc_dso)
+        check_golden(
+            "a72_droop_virus_history",
+            _scope_virus_record(summary),
+            update_golden,
+            exact=True,
+        )
+
+    def test_amd_oscilloscope_virus_kelvin_probe(self, update_golden):
+        # Seed 1: with seed 0 a generation-0 amd loop of length 10 has
+        # a transient 16-iteration schedule and Pipeline.steady_schedule
+        # raises "degenerate schedule" (an open scheduler defect).
+        desktop = make_amd_desktop()
+        summary = VirusGenerator(
+            desktop.cpu, config=replace(SCOPE_GOLDEN_CONFIG, seed=1)
+        ).generate_oscilloscope_virus(desktop.probe)
+        check_golden(
+            "amd_kelvin_virus_history",
+            _scope_virus_record(summary),
+            update_golden,
+            exact=True,
+        )
 
 
 class TestWorkersVirusGolden:
@@ -238,14 +298,12 @@ class TestIslandGolden:
         from repro.ga.islands import IslandConfig, IslandGAEngine
 
         characterizer = _characterizer()
-        fitness = ClusterFitness(
-            EMAmplitudeFitness(
-                analyzer=characterizer.analyzer,
-                radiator=characterizer.radiator,
-                samples=3,
-                session=characterizer.session,
-            ),
-            a53,
+        fitness = EMAmplitudeFitness(
+            cluster=a53,
+            analyzer=characterizer.analyzer,
+            radiator=characterizer.radiator,
+            samples=3,
+            session=characterizer.session,
         )
         config = GAConfig(
             population_size=8, generations=3, loop_length=5, seed=7

@@ -160,12 +160,12 @@ class TestPopulationArchive:
         save_population(population, path)
 
         fitness = EMAmplitudeFitness(
-            analyzer=characterizer.analyzer, samples=2
+            cluster=a72, analyzer=characterizer.analyzer, samples=2
         )
         config = GAConfig(
             population_size=8, generations=2, loop_length=16, seed=1
         )
-        result = GAEngine(lambda p: fitness(a72, p), config).run(
+        result = GAEngine(fitness, config).run(
             ARM_ISA, initial_population=load_population(path)
         )
         gen0_genomes = {p.genome() for p in population}
